@@ -1,65 +1,46 @@
-"""VMI retrieval — Algorithm 3 of the paper.
+"""VMI retrieval — Algorithm 3 of the paper, one request at a time.
 
-Assembles a requested VMI from stored parts: copy the base image from
-the repository, create a guestfs handle, reset the image
-(virt-sysprep), import user data, then install every primary-subgraph
-package the base does not already provide from the local package
-repository.
-
-The four charged components — base-image copy, handle creation, reset,
-import — are exactly the stack Figure 5a plots.
+:class:`VMIAssembler` is the single-request front the system facade,
+the federation, the daemon and the CLI call.  It resolves the request
+through the :class:`~repro.core.assembly_plan.AssemblyPlanner`'s
+revision-checked plan cache — the one implementation of Algorithm 3 —
+and always charges a *cold* base copy, so every request pays exactly
+the four Figure-5a components a fresh retrieval costs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import IncompatibleImageError, RetrievalError
-from repro.image.guestfs import GuestfsHandle
-from repro.image.sysprep import sysprep
-from repro.model.graph import PackageRole, SemanticGraph
-from repro.model.vmi import VirtualMachineImage
-from repro.repository.master_graphs import MasterGraph
+from repro.core.assembly_plan import (
+    AssemblyPlanner,
+    RetrievalReport,
+    RetrievalRequest,
+)
 from repro.repository.repo import Repository
-from repro.sim.clock import SimulatedClock, TimeBreakdown
+from repro.sim.clock import SimulatedClock
 from repro.sim.costmodel import CostModel
-from repro.similarity.compatibility import is_compatible
 
-__all__ = ["RETRIEVAL_COMPONENTS", "RetrievalReport", "VMIAssembler"]
-
-#: the four charged retrieval components, in Figure-5a stack order
-RETRIEVAL_COMPONENTS = ("base-copy", "handle", "reset", "import")
-
-
-@dataclass(frozen=True)
-class RetrievalReport:
-    """The assembled VMI plus the Figure-5a time breakdown."""
-
-    vmi: VirtualMachineImage
-    #: packages imported from the repository (name order = install order)
-    imported_packages: tuple[str, ...]
-    breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
-
-    @property
-    def retrieval_time(self) -> float:
-        """Total simulated retrieval duration (Table II column 7)."""
-        return self.breakdown.total
-
-    def component(self, label: str) -> float:
-        return self.breakdown.component(label)
+__all__ = ["RetrievalReport", "VMIAssembler"]
 
 
 class VMIAssembler:
-    """Executes Algorithm 3 against a repository."""
+    """Executes Algorithm 3 against a repository, one VMI per call."""
 
     def __init__(
-        self, repo: Repository, clock: SimulatedClock, cost: CostModel
+        self,
+        repo: Repository,
+        clock: SimulatedClock,
+        cost: CostModel,
+        *,
+        planner: AssemblyPlanner | None = None,
     ) -> None:
+        """``planner=`` shares an existing plan cache (the system
+        facade shares one between single and batch retrieval)."""
         self.repo = repo
-        self.clock = clock
-        self.cost = cost
-
-    # ------------------------------------------------------------------
+        self.planner = (
+            planner
+            if planner is not None
+            else AssemblyPlanner(repo, clock, cost)
+        )
 
     def retrieve(self, name: str) -> RetrievalReport:
         """Reassemble a published VMI by name.
@@ -70,16 +51,8 @@ class VMIAssembler:
                 compatibility precondition of Algorithm 3 line 2.
         """
         record = self.repo.get_vmi_record(name)
-        return self.assemble(
-            name=name,
-            base_key=record.base_key,
-            primary_names=record.primary_names,
-            data_label=record.data_label,
-            primary_versions={
-                pname: version
-                for pname, version, _ in record.primary_identities
-            },
-        )
+        request = RetrievalRequest.for_record(record)
+        return self.planner.assemble(request, cold_base=True).report
 
     def assemble(
         self,
@@ -98,94 +71,15 @@ class VMIAssembler:
         Raises:
             NotInRepositoryError: the base, a primary, or the user data
                 is not stored.
+            RetrievalError: a requested primary is not available for
+                the base.
             IncompatibleImageError: ``comp(GI[BI], GI[PS]) != 1``.
         """
-        with self.clock.measure() as breakdown:
-            vmi, imported = self._assemble_inner(
-                name,
-                base_key,
-                primary_names,
-                data_label,
-                primary_versions or {},
-            )
-        return RetrievalReport(
-            vmi=vmi, imported_packages=tuple(imported), breakdown=breakdown
+        request = RetrievalRequest(
+            name=name,
+            base_key=base_key,
+            primary_names=tuple(primary_names),
+            data_label=data_label,
+            primary_versions=tuple((primary_versions or {}).items()),
         )
-
-    # ------------------------------------------------------------------
-
-    def _assemble_inner(
-        self,
-        name: str,
-        base_key: int,
-        primary_names: tuple[str, ...],
-        data_label: str | None,
-        primary_versions: dict[str, str],
-    ) -> tuple[VirtualMachineImage, list[str]]:
-        # -- line 1: fetch subgraphs ------------------------------------
-        master: MasterGraph = self.repo.get_master_graph(base_key)
-        gi_bi = master.base_subgraph
-        gi_ps = SemanticGraph()
-        for pname in primary_names:
-            if not master.has_package(pname):
-                raise RetrievalError(
-                    f"package {pname!r} is not available for base "
-                    f"{master.attrs}"
-                )
-            gi_ps.union_update(
-                master.extract_primary_subgraph(
-                    pname, primary_versions.get(pname)
-                )
-            )
-
-        # -- line 2: compatibility precondition ---------------------------
-        if primary_names and not is_compatible(gi_bi, gi_ps):
-            raise IncompatibleImageError(
-                f"requested packages {primary_names} are not compatible "
-                f"with base {master.attrs}"
-            )
-
-        # -- line 3: copy the base image out of the repository -------------
-        base = self.repo.get_base_image(base_key)
-        self.clock.advance(
-            self.cost.read_bytes(self.repo.base_image_size(base_key)),
-            "base-copy",
-        )
-
-        # guestfs handle over the fresh copy
-        handle = GuestfsHandle(self.clock, self.cost, label="handle")
-        handle.launch()
-
-        # -- line 4: reset to first-boot state ------------------------------
-        vmi = VirtualMachineImage(name, base)
-        handle.mount(vmi)
-        sysprep(vmi)
-        self.clock.advance(self.cost.vmi_reset(), "reset")
-
-        # -- line 5: import user data ----------------------------------------
-        if data_label is not None:
-            data = self.repo.get_user_data(data_label)
-            vmi.attach_user_data(data)
-            self.clock.advance(self.cost.read_bytes(data.size), "import")
-
-        # -- lines 6-13: install missing packages ------------------------------
-        base_names = base.package_names()
-        imported: list[str] = []
-        primary_set = set(primary_names)
-        for pkg in gi_ps.packages():
-            if pkg.name in base_names:
-                continue  # line 7: already provided by the base image
-            stored = self.repo.get_package(pkg.blob_key())
-            role = (
-                PackageRole.PRIMARY
-                if pkg.name in primary_set
-                else PackageRole.DEPENDENCY
-            )
-            vmi.install_package(
-                stored, role, auto=role is PackageRole.DEPENDENCY
-            )
-            self.clock.advance(self.cost.import_package(stored), "import")
-            imported.append(pkg.name)
-
-        handle.shutdown()
-        return vmi, imported
+        return self.planner.assemble(request, cold_base=True).report

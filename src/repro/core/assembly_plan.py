@@ -1,13 +1,18 @@
-"""Assembly planning — cacheable retrieval plans (DESIGN.md §9).
+"""Algorithm 3 of the paper — VMI retrieval through cacheable plans
+(DESIGN.md §9).
 
-Algorithm 3 (:mod:`repro.core.assembler`) repeats the same derivation
-work for every member of a VMI family: fetch the master graph, extract
-each requested primary's subgraph, union them, check the compatibility
-precondition, and decide which packages the base already provides.  For
-a repository serving read-heavy traffic most requests hit a small set
-of ``(base image, primary set)`` combinations, so that derivation is
-pure amortisable overhead.
+Retrieval assembles a requested VMI from stored parts: copy the base
+image from the repository, create a guestfs handle, reset the image
+(virt-sysprep), import user data, then install every primary-subgraph
+package the base does not already provide.  The four charged
+components — base-image copy, handle creation, reset, import — are
+exactly the stack Figure 5a plots.
 
+Most of that is derivation repeated for every member of a VMI family:
+fetch the master graph, extract each requested primary's subgraph,
+union them, check the compatibility precondition, and decide which
+packages the base already provides.  Read-heavy traffic hits a small
+set of ``(base image, primary set)`` combinations, so
 :class:`AssemblyPlanner` splits retrieval into two halves:
 
 * **derive** — resolve a :class:`RetrievalRequest` into an explicit
@@ -15,8 +20,12 @@ pure amortisable overhead.
   and the exact ordered list of :class:`InstallStep` package imports.
   Plans are cached keyed by the request's ``(base_key, primary
   identity sequence)``.
-* **execute** — run a plan against the repository, charging the same
-  four Figure-5a components the sequential assembler charges.
+* **execute** — run a plan against the repository, charging the four
+  Figure-5a components.  Warm and cold retrieval differ only in the
+  base-copy charge: batches clone a warm local copy of a base they
+  already read (:meth:`AssemblyPlanner.assemble`), while single
+  requests (:class:`~repro.core.assembler.VMIAssembler`) always pay the
+  full repository read.
 
 **Cache soundness.**  A cached plan is only served while the
 repository state it was derived from still holds: the base blob must
@@ -30,40 +39,61 @@ plan is re-derived.  A repository-wide mutation counter
 path: while nothing in the repository changed at all, revalidation is
 one integer compare.
 
-The planner is an accelerator, never an oracle: executing a plan must
-be observationally identical to :meth:`~repro.core.assembler.
-VMIAssembler.retrieve` — same assembled VMI, same imported-package
-order, same errors — with only the *charged cost* allowed to differ
-(a warm base copy is a local clone, not a repository read).  The
-differential and property tests in ``tests/property/
-test_retrieval_props.py`` pin that equivalence down.
+This is the only implementation of Algorithm 3.  The paper-literal
+derivation — no plans, no caches — lives in the test suite as the
+reference oracle (``tests/algorithm3_oracle.py``): the differential
+and property tests hold every path here to it — same assembled VMI,
+same imported-package order, same errors, same charges up to the
+warm base copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.core.assembler import RetrievalReport
 from repro.errors import IncompatibleImageError, RetrievalError
 from repro.image.guestfs import GuestfsHandle
 from repro.image.sysprep import sysprep
 from repro.model.graph import PackageRole, SemanticGraph
 from repro.model.vmi import VirtualMachineImage
 from repro.repository.repo import Repository, VMIRecord
-from repro.sim.clock import SimulatedClock
+from repro.sim.clock import SimulatedClock, TimeBreakdown
 from repro.sim.costmodel import CostModel
 from repro.similarity.compatibility import is_compatible
 
 __all__ = [
+    "RETRIEVAL_COMPONENTS",
     "AssemblyPlan",
     "AssemblyPlanner",
     "InstallStep",
     "PlannedRetrieval",
     "PlannerStats",
+    "RetrievalReport",
     "RetrievalRequest",
 ]
+
+#: the four charged retrieval components, in Figure-5a stack order
+RETRIEVAL_COMPONENTS = ("base-copy", "handle", "reset", "import")
+
+
+@dataclass(frozen=True)
+class RetrievalReport:
+    """The assembled VMI plus the Figure-5a time breakdown."""
+
+    vmi: VirtualMachineImage
+    #: packages imported from the repository (name order = install order)
+    imported_packages: tuple[str, ...]
+    breakdown: TimeBreakdown = field(default_factory=TimeBreakdown)
+
+    @property
+    def retrieval_time(self) -> float:
+        """Total simulated retrieval duration (Table II column 7)."""
+        return self.breakdown.total
+
+    def component(self, label: str) -> float:
+        return self.breakdown.component(label)
 
 
 @dataclass(frozen=True)
@@ -308,17 +338,27 @@ class AssemblyPlanner:
     # plan execution
     # ------------------------------------------------------------------
 
-    def assemble(self, request: RetrievalRequest) -> PlannedRetrieval:
-        """Resolve and execute a retrieval through the plan caches.
+    def assemble(
+        self, request: RetrievalRequest, *, cold_base: bool = False
+    ) -> PlannedRetrieval:
+        """Resolve and execute a retrieval through the plan cache.
 
-        Raises the same errors as :meth:`~repro.core.assembler.
-        VMIAssembler.assemble` under the same conditions.
+        ``cold_base=True`` charges the base copy as a full repository
+        read and leaves the warm-base cache untouched — the per-request
+        cost of Figure 5a.
+
+        Raises:
+            NotInRepositoryError: the base, a planned package or the
+                user data is not stored.
+            RetrievalError: a requested primary is not available for
+                the base.
+            IncompatibleImageError: ``comp(GI[BI], GI[PS]) != 1``.
         """
         with self._mutex:
             self.stats.requests += 1
         plan, plan_hit = self.plan_for(request)
         with self.clock.measure() as breakdown:
-            vmi, warm = self._execute(request, plan)
+            vmi, warm = self._execute(request, plan, cold_base)
         return PlannedRetrieval(
             report=RetrievalReport(
                 vmi=vmi,
@@ -330,11 +370,11 @@ class AssemblyPlanner:
         )
 
     def _execute(
-        self, request: RetrievalRequest, plan: AssemblyPlan
+        self, request: RetrievalRequest, plan: AssemblyPlan, cold_base: bool
     ) -> tuple[VirtualMachineImage, bool]:
         """Algorithm 3 lines 3-13, replayed from the plan."""
         base = self.repo.get_base_image(plan.base_key)
-        warm = self._charge_base_copy(plan)
+        warm = self._charge_base_copy(plan, cold_base)
 
         handle = GuestfsHandle(self.clock, self.cost, label="handle")
         handle.launch()
@@ -361,17 +401,20 @@ class AssemblyPlanner:
         handle.shutdown()
         return vmi, warm
 
-    def _charge_base_copy(self, plan: AssemblyPlan) -> bool:
+    def _charge_base_copy(
+        self, plan: AssemblyPlan, cold: bool = False
+    ) -> bool:
         """Charge the base-copy component; True when served warm.
 
         The first copy of a base reads the full qcow2 from the
         repository; while the blob stays stored, later copies clone the
         warm local image instead.  A vanished blob (GC, replacement)
         silently demotes back to a cold read of the re-stored content.
+        ``cold`` always reads, without warming the cache.
         """
         key = plan.base_key
         with self._mutex:
-            if key in self._warm_bases:
+            if not cold and key in self._warm_bases:
                 if self.repo.blobs.contains(key):
                     self.stats.base_cache_hits += 1
                     self.clock.advance(
@@ -384,5 +427,6 @@ class AssemblyPlanner:
             self.clock.advance(
                 self.cost.read_bytes(plan.base_bytes), "base-copy"
             )
-            self._warm_bases.add(key)
+            if not cold:
+                self._warm_bases.add(key)
             return False

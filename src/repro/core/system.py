@@ -72,12 +72,14 @@ class Expelliarmus:
             dedup_packages=dedup_packages,
             indexed_selection=indexed_selection,
         )
-        self.assembler = VMIAssembler(self.repo, self.clock, self.cost)
-        #: plan + warm-base caches persist across retrieval batches;
-        #: revision-checked against the repository, so publishes, base
-        #: replacements and GC between batches can never serve a stale
-        #: plan
+        #: plan + warm-base caches persist across retrievals, single
+        #: and batched; revision-checked against the repository, so
+        #: publishes, base replacements and GC in between can never
+        #: serve a stale plan
         self.planner = AssemblyPlanner(self.repo, self.clock, self.cost)
+        self.assembler = VMIAssembler(
+            self.repo, self.clock, self.cost, planner=self.planner
+        )
 
     # ------------------------------------------------------------------
     # durable workspaces (persistence across process restarts)

@@ -202,20 +202,23 @@ class SemanticGraph:
     # induced subgraphs (Section III-B / IV-C)
     # ------------------------------------------------------------------
 
-    def dependency_closure(self, roots: Iterable[str]) -> set[str]:
+    def dependency_closure(self, roots: Iterable[str]) -> dict[str, None]:
         """All package nodes reachable from ``roots`` along Depends edges.
 
         The base-image vertex is never part of a closure: the algorithms
         treat the base as the substrate packages sit on, not as a
-        dependency target.
+        dependency target.  The closure comes back as an ordered set
+        (dict keys) in discovery order, so the subgraphs induced from
+        it — and the install order retrieval derives from them — never
+        depend on string hashing (``PYTHONHASHSEED``).
         """
-        seen: set[str] = set()
+        seen: dict[str, None] = {}
         stack = [r for r in roots if r in self._g]
         while stack:
             node = stack.pop()
             if node in seen or node == self._base_node:
                 continue
-            seen.add(node)
+            seen[node] = None
             stack.extend(self._g.successors(node))
         return seen
 
@@ -230,11 +233,11 @@ class SemanticGraph:
 
     def extract_base_subgraph(self) -> "SemanticGraph":
         """``GI[BI]``: the base vertex plus all BASE_MEMBER packages."""
-        members = {
+        members = [
             key
             for key, _, role in self.package_nodes()
             if role is PackageRole.BASE_MEMBER
-        }
+        ]
         return self._induced(members, with_base=True)
 
     def extract_package_subgraph(
@@ -265,14 +268,17 @@ class SemanticGraph:
         root, _ = max(candidates, key=lambda kv: kv[1].version)
         return self._induced(self.dependency_closure([root]), with_base=False)
 
-    def _induced(self, nodes: set[str], *, with_base: bool) -> "SemanticGraph":
+    def _induced(
+        self, nodes: Iterable[str], *, with_base: bool
+    ) -> "SemanticGraph":
         sub = SemanticGraph()
+        # ordered, like ``nodes``: edge insertion order fixes successor
+        # order, which later closures over the subgraph walk
+        keep = dict.fromkeys(nodes)
         if with_base and self._base_node is not None:
             sub.add_base_image(self._g.nodes[self._base_node]["attrs"])
-        keep = set(nodes)
-        if with_base and self._base_node is not None:
-            keep.add(self._base_node)
-        for key in nodes:
+            keep[self._base_node] = None
+        for key in keep:
             data = self._g.nodes[key]
             if data["kind"] is NodeKind.PACKAGE:
                 sub.add_package(data["package"], data["role"])

@@ -4,8 +4,8 @@ A long-running daemon in front of one repository must protect itself:
 under overload, queueing more work only grows latency without growing
 throughput — the workers are the bottleneck either way.  The
 :class:`AdmissionController` therefore bounds the number of requests
-that may be *anywhere* inside the server (executing on a worker or
-waiting for one) at ``max_active + max_queued``, and rejects the rest
+that may be *anywhere* inside the server (executing or waiting for an
+execution slot) at ``max_active + max_queued``, and rejects the rest
 immediately with a machine-readable 429-style error the client can
 back off on — backpressure over buffering.
 
@@ -28,8 +28,8 @@ class AdmissionController:
     """Bounded-occupancy admission with non-blocking rejection."""
 
     def __init__(self, max_active: int, max_queued: int) -> None:
-        """``max_active`` mirrors the worker-pool size; ``max_queued``
-        is the extra headroom requests may wait in.
+        """``max_active`` mirrors the server's execution slots;
+        ``max_queued`` is the extra headroom requests may wait in.
 
         Raises:
             ValueError: non-positive worker count or negative queue.

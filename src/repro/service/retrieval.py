@@ -1,10 +1,10 @@
 """Batch retrieval: many VMIs, one pipeline, warm caches.
 
 Serving a burst of retrieval requests one :meth:`~repro.core.assembler.
-VMIAssembler.retrieve` call at a time re-copies the same base image and
-re-derives the same install plan for every member of a VMI family.
-:class:`BatchRetriever` drives one :class:`~repro.core.assembly_plan.
-AssemblyPlanner` over the whole batch instead:
+VMIAssembler.retrieve` call at a time charges a cold copy of the same
+base image for every member of a VMI family.  :class:`BatchRetriever`
+drives the :class:`~repro.core.assembly_plan.AssemblyPlanner` over the
+whole batch with its warm-base cache instead:
 
 * **Order.**  :func:`base_affine_order` sorts a batch so requests
   sharing a stored base — and, within a base, sharing a full assembly
@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from repro.core.assembler import RETRIEVAL_COMPONENTS, RetrievalReport
 from repro.core.assembly_plan import (
+    RETRIEVAL_COMPONENTS,
     AssemblyPlanner,
     PlannerStats,
+    RetrievalReport,
     RetrievalRequest,
 )
 from repro.errors import ReproError

@@ -5,9 +5,11 @@ One daemon owns one repository (usually a durable
 concurrent clients onto it over the length-prefixed JSON protocol of
 :mod:`repro.service.protocol`:
 
-* **Concurrency.**  A thread-per-connection reader feeds a
-  :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers``
-  request handlers.  Retrievals, fsck and stats run under the
+* **Concurrency.**  Each connection's thread runs its own requests:
+  once admitted, a request takes one of ``workers`` execution slots (a
+  bounded semaphore) and runs the handler inline, so at most
+  ``workers`` requests execute at once and nothing is handed between
+  threads.  Retrievals, fsck and stats run under the
   repository's *shared* read lock and overlap freely; publishes,
   deletes, GC and checkpoints run under the *exclusive* write lock —
   the same coarse transaction model the in-process parallel executors
@@ -45,7 +47,6 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,9 +103,9 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: 0 = ephemeral (the bound port comes back from ``start()``)
     port: int = 0
-    #: handler threads — concurrent request executions
+    #: execution slots — requests running a handler at once
     workers: int = 4
-    #: admitted requests that may wait for a worker beyond the
+    #: admitted requests that may wait for a slot beyond the
     #: executing ones; past ``workers + queue_limit`` requests are
     #: rejected with code ``overloaded``
     queue_limit: int = 16
@@ -139,7 +140,9 @@ class ImageServer:
         self.admission = AdmissionController(
             self.config.workers, self.config.queue_limit
         )
-        self._pool: ThreadPoolExecutor | None = None
+        #: execution slots, taken inside admission by the connection
+        #: thread that runs the handler
+        self._slots = threading.BoundedSemaphore(self.config.workers)
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._connections: set[socket.socket] = set()
@@ -233,10 +236,11 @@ class ImageServer:
     # ------------------------------------------------------------------
 
     # reprolint: unguarded — start() runs once on the owning thread
-    # before any worker exists; _threads is never touched concurrently
+    # before any connection thread exists; _threads is never touched
+    # concurrently
     def start(self) -> tuple[str, int]:
-        """Bind, spawn the accept loop and workers; returns the
-        endpoint.  Idempotent once started."""
+        """Bind and spawn the accept loop; returns the endpoint.
+        Idempotent once started."""
         if self._listener is not None:
             return self.endpoint
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -247,10 +251,6 @@ class ImageServer:
         listener.listen(128)
         listener.settimeout(0.2)
         self._listener = listener
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="image-server",
-        )
         accept = threading.Thread(
             target=self._accept_loop, name="server-accept", daemon=True
         )
@@ -293,8 +293,10 @@ class ImageServer:
                 self._inflight or self._responding
             ) and time.monotonic() < deadline:
                 time.sleep(0.01)
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
+            # past the deadline, admitted handlers still run to the end
+            # before the final checkpoint
+            while self.admission.active:
+                time.sleep(0.01)
             with self._conn_lock:
                 conns = list(self._connections)
                 self._connections.clear()
@@ -359,7 +361,7 @@ class ImageServer:
                 with self._inflight_lock:
                     self._responding += 1
                 try:
-                    response = self._handle_on_pool(message)
+                    response = self._handle_admitted(message)
                     delivered = self._respond(conn, response)
                 finally:
                     with self._inflight_lock:
@@ -382,8 +384,9 @@ class ImageServer:
         self.requests_served += 1
         return True
 
-    def _handle_on_pool(self, message: dict) -> dict:
-        """Admit, then execute on a worker thread (the reader waits)."""
+    def _handle_admitted(self, message: dict) -> dict:
+        """Admit, then run the handler on this thread once an execution
+        slot is free."""
         if self._draining.is_set():
             return error_payload(
                 AdmissionRejectedError(
@@ -393,11 +396,8 @@ class ImageServer:
                 )
             )
         try:
-            with self.admission.admit():
-                future = self._pool.submit(
-                    self.handle_message, message
-                )
-                return future.result()
+            with self.admission.admit(), self._slots:
+                return self.handle_message(message)
         except AdmissionRejectedError as exc:
             return error_payload(exc)
 

@@ -191,6 +191,15 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
+def related_work_result(corpus):
+    """The related-work experiment over the standard corpus (the one
+    ``expelliarmus experiments related`` runs), computed once."""
+    from repro.experiments.related_work import run_related_work
+
+    return run_related_work(corpus)
+
+
+@pytest.fixture(scope="session")
 def table2_result():
     from repro.experiments.table2 import run_table2
 

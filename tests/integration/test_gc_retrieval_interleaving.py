@@ -10,6 +10,7 @@ plans that reference swept package blobs.
 """
 
 import pytest
+from algorithm3_oracle import reference_retrieve
 
 from repro.core.system import Expelliarmus
 from repro.ids import content_id
@@ -54,9 +55,9 @@ class TestGCRetrievalInterleaving:
         assert batch.planner_stats.plan_invalidations > 0
         assert batch.planner_stats.plan_hits == 0
 
-        # and the batch output matches a cold sequential reference
+        # and the batch output matches the Algorithm 3 reference
         for item in batch.results:
-            reference = system.retrieve(item.name)
+            reference = reference_retrieve(system, item.name)
             assert (
                 item.report.imported_packages
                 == reference.imported_packages

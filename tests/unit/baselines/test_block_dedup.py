@@ -90,11 +90,10 @@ class TestDedupBehaviour:
 
 
 class TestRelatedWorkExperiment:
-    def test_progression(self, corpus):
-        from repro.experiments.related_work import run_related_work
-
-        result = run_related_work(corpus)
-        sizes = {s.label: s.final() for s in result.series}
+    def test_progression(self, related_work_result):
+        sizes = {
+            s.label: s.final() for s in related_work_result.series
+        }
         # compression < block dedup < semantic decomposition
         assert sizes["Expelliarmus"] < sizes["Block (fixed)"]
         assert sizes["Block (fixed)"] < sizes["Qcow2 + Gzip"]

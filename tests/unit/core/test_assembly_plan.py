@@ -1,6 +1,7 @@
 """Unit tests for assembly planning (plan cache + execution)."""
 
 import pytest
+from algorithm3_oracle import reference_assemble, reference_retrieve
 
 from repro.core.assembly_plan import RetrievalRequest
 from repro.errors import NotInRepositoryError, RetrievalError
@@ -39,7 +40,7 @@ class TestRetrievalRequest:
 
 class TestPlanDerivation:
     def test_plan_matches_sequential_imports(self, populated):
-        sequential = populated.retrieve("redis-vm")
+        sequential = reference_retrieve(populated, "redis-vm")
         plan, cached = populated.planner.plan_for(
             _request(populated, "redis-vm")
         )
@@ -63,7 +64,7 @@ class TestPlanDerivation:
         with pytest.raises(RetrievalError) as planned:
             populated.planner.plan_for(request)
         with pytest.raises(RetrievalError) as sequential:
-            populated.assembler.assemble("x", base_key, ("ghost",))
+            reference_assemble(populated, "x", base_key, ("ghost",))
         assert str(planned.value) == str(sequential.value)
 
     def test_unknown_base_raises(self, populated):
@@ -148,7 +149,7 @@ class TestPlanExecution:
         )
         assert not planned.warm_base
         assert not planned.plan_hit
-        sequential = populated.retrieve("redis-vm")
+        sequential = reference_retrieve(populated, "redis-vm")
         assert planned.report.retrieval_time == pytest.approx(
             sequential.retrieval_time
         )

@@ -9,10 +9,13 @@ tests hammer the shared instances from 8 threads and assert that every
 answer equals the single-threaded reference.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.assembly_plan import RetrievalRequest
+from algorithm3_oracle import reference_retrieve
+
+from repro.core.assembly_plan import RETRIEVAL_COMPONENTS, RetrievalRequest
 from repro.core.system import Expelliarmus
 
 N_THREADS = 8
@@ -101,6 +104,44 @@ def test_shared_planner_assemble_is_observationally_stable(
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
         list(pool.map(worker, names * 2))
+    assert not mismatches
+
+
+def test_single_retrievals_stay_cold_beside_warming_batches(
+    scale_corpus_factory,
+):
+    """Single retrievals (the daemon's path) share the planner with
+    batches that warm its base cache; under forced thread switching
+    every single retrieval still equals the oracle, charges included —
+    never a warm base copy, never a torn plan."""
+    system, names = _published_system(scale_corpus_factory)
+    reference = {name: reference_retrieve(system, name) for name in names}
+    mismatches = []
+
+    def worker(index: int):
+        name = names[index % len(names)]
+        expected = reference[name]
+        for _ in range(4):
+            if index % 2:
+                system.retrieve_many([name])
+            got = system.retrieve(name)
+            if (
+                got.imported_packages != expected.imported_packages
+                or got.vmi.full_manifest() != expected.vmi.full_manifest()
+                or any(
+                    got.component(label) != expected.component(label)
+                    for label in RETRIEVAL_COMPONENTS
+                )
+            ):  # pragma: no cover - the regression being pinned
+                mismatches.append(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+            list(pool.map(worker, range(2 * N_THREADS)))
+    finally:
+        sys.setswitchinterval(interval)
     assert not mismatches
 
 

@@ -326,9 +326,9 @@ class TestAdminOps:
         server = _server()
         result = _result(_call(server, "shutdown", tenant=None))
         assert result == {"draining": True}
-        # once draining, the pool front door rejects with "draining"
+        # once draining, the front door rejects with "draining"
         # before any admission accounting happens
-        response = server._handle_on_pool(
+        response = server._handle_admitted(
             make_request("ping", tenant=None)
         )
         error = _error(response)

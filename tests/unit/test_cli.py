@@ -45,7 +45,17 @@ class TestCommands:
         # the ASCII chart legend appears alongside the table
         assert "*=Expelliarmus" in out
 
-    def test_related_work_experiment_registered(self, capsys):
+    def test_related_work_experiment_registered(
+        self, capsys, monkeypatch, related_work_result
+    ):
+        from repro.experiments.related_work import run_related_work
+        from repro.experiments.runner import ALL_EXPERIMENTS
+
+        assert ALL_EXPERIMENTS["related"] is run_related_work
+        # the CLI renders the session's one run of the experiment
+        monkeypatch.setitem(
+            ALL_EXPERIMENTS, "related", lambda: related_work_result
+        )
         assert main(["experiments", "related"]) == 0
         out = capsys.readouterr().out
         assert "Block (fixed)" in out
