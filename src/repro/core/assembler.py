@@ -15,9 +15,6 @@ from repro.core.assembly_plan import (
     RetrievalReport,
     RetrievalRequest,
 )
-from repro.repository.repo import Repository
-from repro.sim.clock import SimulatedClock
-from repro.sim.costmodel import CostModel
 
 __all__ = ["RetrievalReport", "VMIAssembler"]
 
@@ -25,22 +22,8 @@ __all__ = ["RetrievalReport", "VMIAssembler"]
 class VMIAssembler:
     """Executes Algorithm 3 against a repository, one VMI per call."""
 
-    def __init__(
-        self,
-        repo: Repository,
-        clock: SimulatedClock,
-        cost: CostModel,
-        *,
-        planner: AssemblyPlanner | None = None,
-    ) -> None:
-        """``planner=`` shares an existing plan cache (the system
-        facade shares one between single and batch retrieval)."""
-        self.repo = repo
-        self.planner = (
-            planner
-            if planner is not None
-            else AssemblyPlanner(repo, clock, cost)
-        )
+    def __init__(self, planner: AssemblyPlanner) -> None:
+        self.planner = planner
 
     def retrieve(self, name: str) -> RetrievalReport:
         """Reassemble a published VMI by name.
@@ -50,7 +33,7 @@ class VMIAssembler:
             IncompatibleImageError: repository state violates the
                 compatibility precondition of Algorithm 3 line 2.
         """
-        record = self.repo.get_vmi_record(name)
+        record = self.planner.repo.get_vmi_record(name)
         request = RetrievalRequest.for_record(record)
         return self.planner.assemble(request, cold_base=True).report
 

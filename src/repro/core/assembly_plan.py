@@ -37,7 +37,9 @@ from a process-wide monotonic counter, so any membership change
 plan is re-derived.  A repository-wide mutation counter
 (:attr:`~repro.repository.repo.Repository.mutations`) provides a fast
 path: while nothing in the repository changed at all, revalidation is
-one integer compare.
+one integer compare.  The cache holds at most one plan per live VMI
+record and drops the least recently served plan first, so a
+long-running daemon's churn (deletes, replaced bases) cannot grow it.
 
 This is the only implementation of Algorithm 3.  The paper-literal
 derivation — no plans, no caches — lives in the test suite as the
@@ -260,22 +262,29 @@ class AssemblyPlanner:
         """
         key = request.plan_key()
         with self._mutex:
-            entry = self._plans.get(key)
+            entry = self._plans.pop(key, None)
             if entry is not None:
-                if entry.validated_at == self.repo.mutations:
-                    # nothing in the repository changed since validation
-                    self.stats.plan_hits += 1
-                    return entry.plan, True
-                if self._still_valid(entry.plan):
+                # one integer compare while the repository is
+                # unchanged since the last validation
+                if (
+                    entry.validated_at == self.repo.mutations
+                    or self._still_valid(entry.plan)
+                ):
                     entry.validated_at = self.repo.mutations
                     self.stats.plan_hits += 1
+                    # re-inserted last: dict order is recency order
+                    self._plans[key] = entry
                     return entry.plan, True
                 self.stats.plan_invalidations += 1
-                del self._plans[key]
             plan = self._derive(request)
             self._plans[key] = _CacheEntry(
                 plan=plan, validated_at=self.repo.mutations
             )
+            # at most one plan per live record: drop the least recently
+            # served, so plans of deleted VMIs and replaced bases (never
+            # served again) leave first
+            while len(self._plans) > max(1, self.repo.vmi_count()):
+                del self._plans[next(iter(self._plans))]
             return plan, False
 
     def _still_valid(self, plan: AssemblyPlan) -> bool:
@@ -401,9 +410,7 @@ class AssemblyPlanner:
         handle.shutdown()
         return vmi, warm
 
-    def _charge_base_copy(
-        self, plan: AssemblyPlan, cold: bool = False
-    ) -> bool:
+    def _charge_base_copy(self, plan: AssemblyPlan, cold: bool) -> bool:
         """Charge the base-copy component; True when served warm.
 
         The first copy of a base reads the full qcow2 from the

@@ -77,9 +77,7 @@ class Expelliarmus:
         #: publishes, base replacements and GC in between can never
         #: serve a stale plan
         self.planner = AssemblyPlanner(self.repo, self.clock, self.cost)
-        self.assembler = VMIAssembler(
-            self.repo, self.clock, self.cost, planner=self.planner
-        )
+        self.assembler = VMIAssembler(self.planner)
 
     # ------------------------------------------------------------------
     # durable workspaces (persistence across process restarts)

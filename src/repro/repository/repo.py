@@ -648,6 +648,10 @@ class Repository:
         table per upload."""
         return name in self._vmi_records
 
+    def vmi_count(self) -> int:
+        """Number of published VMIs (O(1), the live index)."""
+        return len(self._vmi_records)
+
     def vmi_records(self) -> list[VMIRecord]:
         return [self._vmi_records[r.name] for r in self.db.vmis()]
 

@@ -111,7 +111,9 @@ class BatchRetrieveReport:
     #: as they were hit, then executed retrievals in execution order
     #: (which may differ from caller order — see ``position``)
     results: tuple[RetrieveItemResult, ...]
-    #: PlannerStats delta attributable to this batch
+    #: the shared planner's counter delta over the batch — planner-wide,
+    #: so retrievals other threads run on the same planner meanwhile
+    #: (single requests, other batches) are counted too
     planner_stats: PlannerStats
 
     # -- outcomes -------------------------------------------------------

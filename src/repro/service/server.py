@@ -118,7 +118,8 @@ class ServerConfig:
     #: quiet seconds before a workspace-backed server checkpoints;
     #: None disables idle checkpointing
     checkpoint_idle_s: float | None = 1.0
-    #: ceiling on waiting for in-flight requests during drain
+    #: ceiling on waiting for replies still being written during
+    #: drain; admitted handlers always finish first, however long
     drain_timeout_s: float = 30.0
 
 
@@ -289,13 +290,11 @@ class ImageServer:
             deadline = (
                 time.monotonic() + self.config.drain_timeout_s
             )
-            while (
-                self._inflight or self._responding
-            ) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            # past the deadline, admitted handlers still run to the end
-            # before the final checkpoint
-            while self.admission.active:
+            # admitted handlers always run to the end before the final
+            # checkpoint; the deadline only bounds unsent replies
+            while self.admission.active or (
+                self._responding and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
             with self._conn_lock:
                 conns = list(self._connections)

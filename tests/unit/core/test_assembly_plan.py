@@ -1,5 +1,7 @@
 """Unit tests for assembly planning (plan cache + execution)."""
 
+import dataclasses
+
 import pytest
 from algorithm3_oracle import reference_assemble, reference_retrieve
 
@@ -141,6 +143,52 @@ class TestPlanCache:
         assert not planned.plan_hit
         assert not planned.warm_base
 
+    def test_cache_stays_bounded_under_publish_delete_churn(
+        self, scale_corpus_factory
+    ):
+        """Under a daemon's churn — publish, retrieve, delete, GC —
+        each derivation trims the cache to the live record count."""
+        from repro.core.system import Expelliarmus
+
+        n, live = 40, 4
+        corpus = scale_corpus_factory(n, n_families=10)
+        system = Expelliarmus()
+        keys = set()
+        for i in range(n):
+            system.publish(corpus.build(i))
+            name = corpus.spec(i).name
+            system.retrieve(name)
+            assert len(system.planner) <= system.repo.vmi_count()
+            keys.add(_request(system, name).plan_key())
+            if i >= live:
+                system.delete(corpus.spec(i - live).name)
+                if i % 8 == 0:
+                    system.garbage_collect()
+        assert system.repo.vmi_count() == live
+        # the bound was exercised: far more plans were derived
+        assert len(keys) > 2 * live
+
+    def test_eviction_drops_least_recently_served(
+        self, populated, mini_builder
+    ):
+        populated.publish(
+            mini_builder.build(
+                BuildRecipe(name="nginx-vm", primaries=("nginx",))
+            )
+        )
+        planner = populated.planner
+        redis = _request(populated, "redis-vm")
+        nginx = _request(populated, "nginx-vm")
+        bare = dataclasses.replace(redis, primary_names=())
+        planner.plan_for(redis)
+        planner.plan_for(nginx)
+        assert planner.plan_for(redis)[1]  # now the most recent
+        planner.plan_for(bare)
+        # two live records bound the cache: nginx was served last-but-one
+        assert len(planner) == 2
+        assert planner.plan_for(redis)[1]
+        assert not planner.plan_for(nginx)[1]
+
 
 class TestPlanExecution:
     def test_first_assembly_is_cold(self, populated):
@@ -204,9 +252,9 @@ class TestPlanExecution:
         planner = populated.planner
         request = _request(populated, "redis-vm")
         plan, _ = planner.plan_for(request)
-        planner._charge_base_copy(plan)  # cold, warms the cache
+        planner._charge_base_copy(plan, cold=False)  # reads, warms
         populated.repo.blobs.remove(plan.base_key)
-        assert not planner._charge_base_copy(plan)
+        assert not planner._charge_base_copy(plan, cold=False)
         assert planner.stats.base_copies == 2
         assert planner.stats.base_cache_hits == 0
 

@@ -113,17 +113,21 @@ def test_single_retrievals_stay_cold_beside_warming_batches(
     """Single retrievals (the daemon's path) share the planner with
     batches that warm its base cache; under forced thread switching
     every single retrieval still equals the oracle, charges included —
-    never a warm base copy, never a torn plan."""
+    never a warm base copy, never a torn plan.  Batch ``planner_stats``
+    are planner-wide deltas, so they also count the concurrent singles.
+    """
     system, names = _published_system(scale_corpus_factory)
     reference = {name: reference_retrieve(system, name) for name in names}
     mismatches = []
+    batches = []
+    before = system.planner.stats.snapshot()
 
     def worker(index: int):
         name = names[index % len(names)]
         expected = reference[name]
         for _ in range(4):
             if index % 2:
-                system.retrieve_many([name])
+                batches.append(system.retrieve_many([name]))
             got = system.retrieve(name)
             if (
                 got.imported_packages != expected.imported_packages
@@ -143,6 +147,28 @@ def test_single_retrievals_stay_cold_beside_warming_batches(
     finally:
         sys.setswitchinterval(interval)
     assert not mismatches
+    n_singles = 2 * N_THREADS * 4
+    total = system.planner.stats.since(before)
+    assert total.requests == n_singles + len(batches)
+    assert total.base_copies + total.base_cache_hits == total.requests
+    assert all(b.n_retrieved == 1 for b in batches)
+    assert all(b.planner_stats.requests >= 1 for b in batches)
+
+
+def test_batch_stats_are_planner_wide(scale_corpus_factory):
+    """A single retrieval that runs while a batch is open is counted in
+    that batch's ``planner_stats`` (the delta of the shared planner)."""
+    system, names = _published_system(scale_corpus_factory)
+
+    def retrieve_once_mid_batch(done, _total, _item):
+        if done == 1:
+            system.retrieve(names[-1])
+
+    report = system.retrieve_many(
+        names[:2], progress=retrieve_once_mid_batch
+    )
+    assert report.n_retrieved == 2
+    assert report.planner_stats.requests == 3
 
 
 def test_shared_selection_memo_survives_concurrent_publish_shards(

@@ -61,7 +61,7 @@ class TestRepositoryInjection:
         system = Expelliarmus(repository=repo)
         assert system.repo is repo
         assert system.publisher.repo is repo
-        assert system.assembler.repo is repo
+        assert system.assembler.planner is system.planner
         assert system.planner.repo is repo
 
     def test_injected_repository_serves_the_full_cycle(

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core.system import Expelliarmus
-from repro.core.assembler import VMIAssembler
 from repro.image.builder import BuildRecipe
 from repro.repository.persistence import load_repository, save_repository
-from repro.sim.clock import SimulatedClock
-from repro.sim.costmodel import CostModel
 
 
 @pytest.fixture
@@ -46,10 +43,7 @@ class TestRoundTrip:
         path = tmp_path / "repo.snapshot"
         save_repository(populated.repo, path)
         restored = load_repository(path)
-        assembler = VMIAssembler(
-            restored, SimulatedClock(), CostModel()
-        )
-        result = assembler.retrieve("redis-vm")
+        result = Expelliarmus(repository=restored).retrieve("redis-vm")
         assert result.vmi.has_package("redis-server")
         assert result.vmi.user_data is not None
 
