@@ -189,25 +189,20 @@ class Expelliarmus:
         the aggregated :class:`~repro.service.batch.BatchPublishReport`
         (simulated seconds, bytes, dedup counts, Algorithm 2 work).
 
-        ``parallelism=N`` runs the batch through the sharded executor
-        instead (:class:`~repro.service.parallel.ParallelPublisher`):
+        ``parallelism=N`` shards the batch instead
+        (:class:`~repro.service.parallel.ParallelPublisher`):
         family-affine shards on N worker threads, every publish under
         the repository's exclusive write lock, per-shard critical-path
-        accounting in the returned
-        :class:`~repro.service.parallel.ParallelPublishReport`.  The
-        stored outcome is identical to the sequential pipeline's.
+        accounting in the report's ``shards``.  The stored outcome is
+        identical to the sequential pipeline's.
         """
-        if parallelism is not None:
-            from repro.service.parallel import ParallelPublisher
-
-            return ParallelPublisher(
-                self.publisher, parallelism=parallelism
-            ).publish_many(
-                vmis, order=order, progress=progress, on_error=on_error
-            )
         from repro.service.batch import BatchPublisher
+        from repro.service.parallel import ParallelPublisher
 
-        return BatchPublisher(self.publisher).publish_many(
+        front = BatchPublisher(self.publisher) if parallelism is None else (
+            ParallelPublisher(self.publisher, parallelism=parallelism)
+        )
+        return front.publish_many(
             vmis, order=order, progress=progress, on_error=on_error
         )
 
@@ -236,24 +231,19 @@ class Expelliarmus:
         identical to sequential :meth:`retrieve` — only the charged
         cost differs.
 
-        ``parallelism=N`` serves the batch through the sharded executor
-        instead (:class:`~repro.service.parallel.ParallelRetriever`):
+        ``parallelism=N`` shards the batch instead
+        (:class:`~repro.service.parallel.ParallelRetriever`):
         base-affine shards on N worker threads, every retrieval under
         the shared read lock against the internally locked planner,
-        per-shard critical-path accounting in the returned
-        :class:`~repro.service.parallel.ParallelRetrieveReport`.
+        per-shard critical-path accounting in the report's ``shards``.
         """
-        if parallelism is not None:
-            from repro.service.parallel import ParallelRetriever
-
-            return ParallelRetriever(
-                self.planner, parallelism=parallelism
-            ).retrieve_many(
-                requests, order=order, progress=progress, on_error=on_error
-            )
+        from repro.service.parallel import ParallelRetriever
         from repro.service.retrieval import BatchRetriever
 
-        return BatchRetriever(self.planner).retrieve_many(
+        front = BatchRetriever(self.planner) if parallelism is None else (
+            ParallelRetriever(self.planner, parallelism=parallelism)
+        )
+        return front.retrieve_many(
             requests, order=order, progress=progress, on_error=on_error
         )
 

@@ -41,15 +41,15 @@ The facade mirrors the :class:`Expelliarmus` surface (publish /
 retrieve / delete, the ``*_many`` batch pipelines, GC, fsck, save /
 close), so the CLI and the image server front a federation unchanged.
 All shard systems share one :class:`~repro.sim.clock.SimulatedClock`;
-batch reports carry per-shard :class:`~repro.service.parallel.
-ShardAccount` rows, so critical-path speedup vs shard count is read
-off the same overlap accounting the thread-parallel pipeline uses.
+the ``*_many`` pipelines route items onto the batch executor
+(:mod:`repro.service.executor`), so critical-path speedup vs shard
+count is read off the same per-shard accounting as thread shards.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -58,7 +58,6 @@ from repro.core.system import Expelliarmus
 from repro.errors import (
     NotInRepositoryError,
     PublishError,
-    ReproError,
     WorkspaceError,
 )
 from repro.ids import content_id
@@ -68,17 +67,20 @@ from repro.repository.fsck import FsckReport, Inconsistency
 from repro.repository.gc import GCReport
 from repro.repository.locking import RepositoryLock
 from repro.repository.master_graphs import master_from_state, master_state
-from repro.service.batch import BatchItemResult
+from repro.service.batch import BatchPublishReport, publish_batch
+from repro.service.executor import (
+    Progress,
+    check_options,
+    route,
+    run_shards,
+)
 from repro.service.maintenance import DeleteItemResult, MaintenanceReport
 from repro.service.rebase import RebaseReport
-from repro.service.parallel import (
-    ParallelPublishReport,
-    ParallelRetrieveReport,
-    ShardAccount,
-    _ProgressTracker,
-    _run_sharded,
+from repro.service.retrieval import (
+    BatchRetrieveReport,
+    resolve_request,
+    retrieve_batch,
 )
-from repro.service.retrieval import RetrieveItemResult
 from repro.service.tenancy import validate_stored_name
 from repro.sim.clock import SimulatedClock
 
@@ -210,17 +212,6 @@ class _FederationWorkspace:
             f"<FederationWorkspace path={self.path} "
             f"shards={self._fed.n_shards}>"
         )
-
-
-def _merge_stats(deltas):
-    """Sum per-shard stats deltas field-wise (SelectionStats etc.)."""
-    first = deltas[0]
-    return type(first)(
-        **{
-            f.name: sum(getattr(d, f.name) for d in deltas)
-            for f in fields(first)
-        }
-    )
 
 
 class FederatedRepository:
@@ -494,8 +485,8 @@ class FederatedRepository:
         progress=None,
         on_error: str = "continue",
         parallelism: int | None = None,
-    ) -> ParallelPublishReport:
-        """Batch-publish across the shards, one worker thread each.
+    ) -> BatchPublishReport:
+        """Batch-publish across the shards on the batch executor.
 
         Same contract as :meth:`Expelliarmus.publish_many`; the
         federation's parallelism *is* its shard count, so
@@ -505,106 +496,32 @@ class FederatedRepository:
         within each family exactly as the single-repository pipeline
         would (stable sort, same keys).
         """
-        if order not in ("dedup", "given"):
-            raise ValueError(f"unknown batch order {order!r}")
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
-        items = list(enumerate(vmis))
-        tracker = _ProgressTracker(progress, len(items))
-        adapter = (
-            None
-            if progress is None
-            else (lambda done, total, item: tracker.step(item))
-        )
+        batch_shard: dict[str, int] = {}
+
+        def place(vmi: VirtualMachineImage):
+            validate_stored_name(vmi.name)
+            family = family_of(vmi.base.attrs)
+            shard = self.shard_for_family(family)
+            # a same-shard duplicate fails inside the shard's run; a
+            # cross-shard one must fail here or both copies would land
+            if vmi.name in self._names or (
+                batch_shard.setdefault(vmi.name, shard) != shard
+            ):
+                raise PublishError(f"VMI {vmi.name!r} already published")
+            # steer the rest of this batch's family members here
+            self._family_home.setdefault(family, shard)
+            return shard, vmi
+
         with self.lock.write():
-            bytes_before = self.total_bytes()
-            pre_failures: list[BatchItemResult] = []
-            per_shard: list[list] = [[] for _ in range(self.n_shards)]
-            batch_shard: dict[str, int] = {}
-            vmi_family: dict[int, Family] = {}
-            for pos, vmi in items:
-                try:
-                    validate_stored_name(vmi.name)
-                    if vmi.name in self._names:
-                        raise PublishError(
-                            f"VMI {vmi.name!r} already published"
-                        )
-                    family = family_of(vmi.base.attrs)
-                    shard = self.shard_for_family(family)
-                    earlier = batch_shard.get(vmi.name)
-                    if earlier is not None and earlier != shard:
-                        # a same-shard duplicate fails inside the shard
-                        # pipeline; a cross-shard one must fail here or
-                        # both copies would land
-                        raise PublishError(
-                            f"VMI {vmi.name!r} already published"
-                        )
-                except ReproError as exc:
-                    if on_error == "raise":
-                        raise
-                    failure = BatchItemResult(
-                        position=pos, name=vmi.name, error=str(exc)
-                    )
-                    pre_failures.append(failure)
-                    tracker.step(failure)
-                    continue
-                batch_shard.setdefault(vmi.name, shard)
-                vmi_family[pos] = family
-                per_shard[shard].append((pos, vmi))
-                # steer the rest of this batch's family members here
-                self._family_home.setdefault(family, shard)
-
-            def run_shard(index: int, shard_items: list):
-                if not shard_items:
-                    return [], ShardAccount(index, 0, 0, 0.0), None
-                report = self.systems[index].publish_many(
-                    [vmi for _, vmi in shard_items],
-                    order=order,
-                    progress=adapter,
-                    on_error=on_error,
-                )
-                positions = [pos for pos, _ in shard_items]
-                results = [
-                    replace(r, position=positions[r.position])
-                    for r in report.results
-                ]
-                account = ShardAccount(
-                    shard=index,
-                    n_items=len(shard_items),
-                    n_failed=report.n_failed,
-                    simulated_seconds=report.simulated_seconds,
-                )
-                return results, account, report
-
-            outcomes = _run_sharded(per_shard, run_shard, self.n_shards)
-            results = sorted(
-                pre_failures
-                + [r for shard_results, _, _ in outcomes
-                   for r in shard_results],
-                key=lambda item: item.position,
+            report = publish_batch(
+                [system.publisher for system in self.systems], vmis,
+                order=order, progress=progress, on_error=on_error,
+                place=place, total_bytes=self.total_bytes,
             )
-            for item in results:
-                if item.report is not None:
-                    shard = batch_shard[item.name]
-                    self._names[item.name] = shard
-                    self._family_home.setdefault(
-                        vmi_family[item.position], shard
-                    )
-            deltas = [
-                report.selection_stats
-                for _, _, report in outcomes
-                if report is not None
-            ]
-            stats = self.systems[0].publisher.selection_memo.stats
-            return ParallelPublishReport(
-                results=tuple(results),
-                repo_bytes_before=bytes_before,
-                repo_bytes_after=self.total_bytes(),
-                selection_stats=(
-                    _merge_stats(deltas) if deltas else stats.since(stats)
-                ),
-                shards=tuple(account for _, account, _ in outcomes),
-            )
+            for item in report.results:
+                if item.ok:
+                    self._names[item.name] = batch_shard[item.name]
+            return report
 
     def retrieve_many(
         self,
@@ -614,84 +531,24 @@ class FederatedRepository:
         progress=None,
         on_error: str = "continue",
         parallelism: int | None = None,
-    ) -> ParallelRetrieveReport:
-        """Batch-retrieve across the shards, one worker thread each.
+    ) -> BatchRetrieveReport:
+        """Batch-retrieve across the shards on the batch executor.
 
         Same contract as :meth:`Expelliarmus.retrieve_many`
         (``parallelism`` accepted and ignored — the shard count is the
         parallelism); names resolve through the router, request
         objects route by their recorded name.
         """
-        if order not in ("affine", "given"):
-            raise ValueError(f"unknown batch order {order!r}")
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
-        requests = list(requests)
-        tracker = _ProgressTracker(progress, len(requests))
-        adapter = (
-            None
-            if progress is None
-            else (lambda done, total, item: tracker.step(item))
-        )
+
+        def place(item):
+            shard = self.shard_of(item if isinstance(item, str) else item.name)
+            return shard, resolve_request(self.systems[shard].repo, item)
+
         with self.lock.read():
-            unresolved: list[RetrieveItemResult] = []
-            per_shard: list[list] = [[] for _ in range(self.n_shards)]
-            for pos, item in enumerate(requests):
-                name = item if isinstance(item, str) else item.name
-                shard = self._names.get(name)
-                if shard is None:
-                    exc = NotInRepositoryError("VMI", name)
-                    if on_error == "raise":
-                        raise exc
-                    failure = RetrieveItemResult(
-                        position=pos, name=name, error=str(exc)
-                    )
-                    unresolved.append(failure)
-                    tracker.step(failure)
-                    continue
-                per_shard[shard].append((pos, item))
-
-            def run_shard(index: int, shard_items: list):
-                if not shard_items:
-                    return [], ShardAccount(index, 0, 0, 0.0), None
-                report = self.systems[index].retrieve_many(
-                    [item for _, item in shard_items],
-                    order=order,
-                    progress=adapter,
-                    on_error=on_error,
-                )
-                positions = [pos for pos, _ in shard_items]
-                results = [
-                    replace(r, position=positions[r.position])
-                    for r in report.results
-                ]
-                account = ShardAccount(
-                    shard=index,
-                    n_items=len(shard_items),
-                    n_failed=report.n_failed,
-                    simulated_seconds=report.simulated_seconds,
-                )
-                return results, account, report
-
-            outcomes = _run_sharded(per_shard, run_shard, self.n_shards)
-            results = sorted(
-                unresolved
-                + [r for shard_results, _, _ in outcomes
-                   for r in shard_results],
-                key=lambda item: item.position,
-            )
-            deltas = [
-                report.planner_stats
-                for _, _, report in outcomes
-                if report is not None
-            ]
-            stats = self.systems[0].planner.stats
-            return ParallelRetrieveReport(
-                results=tuple(results),
-                planner_stats=(
-                    _merge_stats(deltas) if deltas else stats.since(stats)
-                ),
-                shards=tuple(account for _, account, _ in outcomes),
+            return retrieve_batch(
+                [system.planner for system in self.systems], requests,
+                order=order, progress=progress, on_error=on_error,
+                place=place,
             )
 
     def delete_many(
@@ -709,55 +566,39 @@ class FederatedRepository:
         thresholds and checkpoint policies apply per shard (each shard
         sweeps and snapshots its own garbage).
         """
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
+        check_options(on_error)
         names = list(names)
-        tracker = _ProgressTracker(progress, len(names))
-        adapter = (
-            None
-            if progress is None
-            else (lambda done, total, item: tracker.step(item))
-        )
+        tracker = Progress(progress, len(names))
+
+        def run_shard(index: int, items: list):
+            if not items:
+                return [], None
+
+            def in_batch(item):  # shard-local -> caller position
+                return replace(item, position=items[item.position][0])
+
+            report = self.systems[index].delete_many(
+                [name for _, name in items],
+                progress=lambda done, total, item: tracker.step(
+                    in_batch(item)
+                ),
+                on_error=on_error,
+                gc_threshold_bytes=gc_threshold_bytes,
+                checkpoint_every_ops=checkpoint_every_ops,
+            )
+            return [in_batch(r) for r in report.results], report
+
         with self.lock.write():
             bytes_before = self.total_bytes()
-            unresolved: list[DeleteItemResult] = []
-            per_shard: list[list] = [[] for _ in range(self.n_shards)]
-            for pos, name in enumerate(names):
-                shard = self._names.get(name)
-                if shard is None:
-                    exc = NotInRepositoryError("VMI", name)
-                    if on_error == "raise":
-                        raise exc
-                    failure = DeleteItemResult(
-                        position=pos, name=name, error=str(exc)
-                    )
-                    unresolved.append(failure)
-                    tracker.step(failure)
-                    continue
-                per_shard[shard].append((pos, name))
-
-            def run_shard(index: int, shard_items: list):
-                if not shard_items:
-                    return [], None
-                report = self.systems[index].delete_many(
-                    [name for _, name in shard_items],
-                    progress=adapter,
-                    on_error=on_error,
-                    gc_threshold_bytes=gc_threshold_bytes,
-                    checkpoint_every_ops=checkpoint_every_ops,
-                )
-                positions = [pos for pos, _ in shard_items]
-                results = [
-                    replace(r, position=positions[r.position])
-                    for r in report.results
-                ]
-                return results, report
-
-            outcomes = _run_sharded(per_shard, run_shard, self.n_shards)
+            shards, failed = route(
+                enumerate(names),
+                lambda name: (self.shard_of(name), name),
+                lambda pos, name, error: DeleteItemResult(pos, name, error),
+                self.n_shards, on_error=on_error, progress=tracker,
+            )
+            outcomes = run_shards(shards, run_shard)
             results = sorted(
-                unresolved
-                + [r for shard_results, _ in outcomes
-                   for r in shard_results],
+                [*failed, *(r for ran, _ in outcomes for r in ran)],
                 key=lambda item: item.position,
             )
             for item in results:
@@ -766,15 +607,11 @@ class FederatedRepository:
             reports = [r for _, r in outcomes if r is not None]
             return MaintenanceReport(
                 results=tuple(results),
-                gc_reports=tuple(
-                    gc for r in reports for gc in r.gc_reports
-                ),
+                gc_reports=tuple(gc for r in reports for gc in r.gc_reports),
                 repo_bytes_before=bytes_before,
                 repo_bytes_after=self.total_bytes(),
                 reclaimable_after=self.reclaimable_bytes(),
-                simulated_seconds=sum(
-                    r.simulated_seconds for r in reports
-                ),
+                simulated_seconds=sum(r.simulated_seconds for r in reports),
                 checkpoints=sum(r.checkpoints for r in reports),
             )
 

@@ -37,13 +37,14 @@ read-heavy traffic:
   cost accounting: the Figure-5a component stack for the batch plus
   the planner's plan-cache and base-cache work counters.
 
-:mod:`repro.service.parallel` runs both pipelines *concurrently*:
-:class:`~repro.service.parallel.ParallelPublisher` and
-:class:`~repro.service.parallel.ParallelRetriever` shard a batch by
-base/family affinity (:func:`~repro.service.parallel.plan_shards`) onto
-a thread pool — publishes under the repository's exclusive write lock,
-retrievals under the shared read lock — and report critical-path
-(overlapped) simulated time per shard on top of the sequential reports.
+:mod:`repro.service.executor` is the one batch executor both pipelines
+run on — sequential, sharded by
+:class:`~repro.service.parallel.ParallelPublisher` /
+:class:`~repro.service.parallel.ParallelRetriever`
+(:func:`~repro.service.parallel.plan_shards`) or routed by the
+federation: every item under its repository's lock, results in caller
+order, and per-shard critical-path accounting
+(:class:`~repro.service.executor.ShardAccount`) for a sharded run.
 
 :mod:`repro.service.maintenance` closes the lifecycle — the deletion
 and reclamation half an operator runs against a churning repository:
@@ -76,8 +77,9 @@ own load (:mod:`repro.service.admission`); the typed
 ``--remote`` mode and the differential suites speak.
 
 See DESIGN.md ("Scale-out publish pipeline", "Retrieval scale-out",
-"Deletion and garbage collection", "The image server") for how this
-layer relates to the per-upload / per-request paths.
+"Concurrency model" for the executor contract, "Deletion and garbage
+collection", "The image server") for how this layer relates to the
+per-upload / per-request paths.
 """
 
 from repro.service.admission import AdmissionController
@@ -88,6 +90,7 @@ from repro.service.batch import (
     dedup_aware_order,
 )
 from repro.service.client import RemoteClient, parse_endpoint
+from repro.service.executor import ShardAccount
 from repro.service.maintenance import (
     DeleteItemResult,
     MaintenanceReport,
@@ -95,10 +98,7 @@ from repro.service.maintenance import (
 )
 from repro.service.parallel import (
     ParallelPublisher,
-    ParallelPublishReport,
     ParallelRetriever,
-    ParallelRetrieveReport,
-    ShardAccount,
     plan_shards,
 )
 from repro.service.rebase import (
@@ -130,10 +130,8 @@ __all__ = [
     "DeleteItemResult",
     "MaintenanceReport",
     "MaintenanceService",
-    "ParallelPublishReport",
-    "ParallelPublisher",
     "ImageServer",
-    "ParallelRetrieveReport",
+    "ParallelPublisher",
     "ParallelRetriever",
     "RebaseReport",
     "RebaseService",

@@ -20,6 +20,8 @@ publish` call at a time is correct but leaves two things on the table:
 
 Failure isolation: a failing item (duplicate name, incompatible graph)
 is recorded and the batch continues, unless ``on_error="raise"``.
+Every batch runs on :mod:`repro.service.executor` through
+:func:`publish_batch`, which the sharded fronts share.
 """
 
 from __future__ import annotations
@@ -29,8 +31,15 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.base_selection import SelectionStats
 from repro.core.publisher import PublishReport, VMIPublisher
-from repro.errors import ReproError
 from repro.model.vmi import VirtualMachineImage
+from repro.service.executor import (
+    Job,
+    OverlapAccounting,
+    ShardAccount,
+    check_options,
+    merge_stats,
+    run_batch,
+)
 
 __all__ = [
     "BatchItemResult",
@@ -75,8 +84,10 @@ def _dedup_key(vmi: VirtualMachineImage) -> tuple:
 
 @dataclass(frozen=True)
 class BatchItemResult:
-    """Outcome of one batch position: a report or a recorded failure."""
+    """Outcome of one batch item: a report or a recorded failure."""
 
+    #: index of this VMI in the caller's sequence (not the execution
+    #: position — the batch may have been reordered)
     position: int
     name: str
     report: PublishReport | None = None
@@ -88,14 +99,17 @@ class BatchItemResult:
 
 
 @dataclass(frozen=True)
-class BatchPublishReport:
+class BatchPublishReport(OverlapAccounting):
     """What one batch did, and what it cost in aggregate."""
 
+    #: per-item outcomes in caller order (see ``position``)
     results: tuple[BatchItemResult, ...]
     repo_bytes_before: int
     repo_bytes_after: int
     #: SelectionStats delta attributable to this batch
     selection_stats: SelectionStats
+    #: per-shard accounts of a sharded run; empty when sequential
+    shards: tuple[ShardAccount, ...] = ()
 
     # -- outcomes -------------------------------------------------------
 
@@ -177,7 +191,7 @@ class BatchPublishReport:
         ]
         for failure in self.failures():
             lines.append(f"  FAILED {failure.name}: {failure.error}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.overlap_lines())
 
 
 class BatchPublisher:
@@ -206,43 +220,46 @@ class BatchPublisher:
             ValueError: unknown ``order`` / ``on_error`` value.
             ReproError: a failing publish, when ``on_error="raise"``.
         """
-        if order not in ("dedup", "given"):
-            raise ValueError(f"unknown batch order {order!r}")
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
-        batch = (
-            dedup_aware_order(vmis) if order == "dedup" else list(vmis)
+        return publish_batch(
+            [self.publisher], vmis, order=order, progress=progress,
+            on_error=on_error, sharded=False,
         )
 
-        repo = self.publisher.repo
-        bytes_before = repo.total_bytes()
-        stats_before = self.publisher.selection_memo.stats.snapshot()
 
-        results: list[BatchItemResult] = []
-        # one SQLite commit for the whole pipeline instead of one per
-        # inserted row; recovery durability lives in the op-log
-        with repo.metadata_batch():
-            for position, vmi in enumerate(batch):
-                try:
-                    report = self.publisher.publish(vmi)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        raise
-                    item = BatchItemResult(
-                        position=position, name=vmi.name, error=str(exc)
-                    )
-                else:
-                    item = BatchItemResult(
-                        position=position, name=vmi.name, report=report
-                    )
-                results.append(item)
-                if progress is not None:
-                    progress(len(results), len(batch), item)
-
-        stats_after = self.publisher.selection_memo.stats
-        return BatchPublishReport(
-            results=tuple(results),
-            repo_bytes_before=bytes_before,
-            repo_bytes_after=repo.total_bytes(),
-            selection_stats=stats_after.since(stats_before),
-        )
+def publish_batch(
+    publishers: Sequence[VMIPublisher], vmis, *, order, progress, on_error,
+    place=lambda vmi: (0, vmi), split=None, total_bytes=None, sharded=True,
+) -> BatchPublishReport:
+    """Publish ``vmis`` on the executor, shard ``i`` on ``publishers[i]``:
+    ``place(vmi) -> (shard, vmi)`` routes each item (a ReproError
+    rejects it), ``split`` may re-partition the routed shards, and
+    ``total_bytes()`` reads the store's size (default: shard 0's)."""
+    check_options(on_error, order, ("dedup", "given"))
+    total_bytes = total_bytes or publishers[0].repo.total_bytes
+    memos = {id(p.selection_memo): p.selection_memo for p in publishers}
+    before = {key: memo.stats.snapshot() for key, memo in memos.items()}
+    bytes_before = total_bytes()
+    job = Job(
+        repo=lambda i: publishers[i].repo,
+        run=lambda i, pos, vmi: BatchItemResult(
+            pos, vmi.name, report=publishers[i].publish(vmi)
+        ),
+        fail=lambda pos, vmi, error: BatchItemResult(
+            pos, vmi.name, error=error
+        ),
+        write=True,
+    )
+    results, accounts, _ = run_batch(
+        list(enumerate(vmis)), job, place=place, n_shards=len(publishers),
+        split=split, key=_dedup_key if order == "dedup" else None,
+        on_error=on_error, progress=progress,
+    )
+    return BatchPublishReport(
+        results=tuple(results),
+        repo_bytes_before=bytes_before,
+        repo_bytes_after=total_bytes(),
+        selection_stats=merge_stats(
+            [memo.stats.since(before[key]) for key, memo in memos.items()]
+        ),
+        shards=accounts if sharded else (),
+    )

@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 from repro.errors import ReproError
 from repro.repository.gc import GarbageCollector, GCReport
 from repro.repository.repo import Repository
+from repro.service.executor import check_options
 from repro.sim.clock import SimulatedClock
 from repro.sim.costmodel import CostModel
 
@@ -241,8 +242,7 @@ class MaintenanceService:
             ValueError: unknown ``on_error`` value.
             ReproError: a failing delete, when ``on_error="raise"``.
         """
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
+        check_options(on_error)
 
         bytes_before = self.repo.total_bytes()
         seconds_before = self.clock.now if self.clock else 0.0

@@ -1,77 +1,31 @@
-"""Parallel service execution: sharded batch pipelines (DESIGN.md §12).
+"""Sharded batch pipelines: the ``parallelism=N`` fronts (DESIGN.md §12).
 
-The batch pipelines (:mod:`repro.service.batch`,
-:mod:`repro.service.retrieval`) drive one repository strictly
-sequentially.  This module runs the same work on a
-:class:`~concurrent.futures.ThreadPoolExecutor`, sharded by
-*base/family affinity*:
-
-* **Sharding.**  :func:`plan_shards` groups a batch by an affinity key
-  (the base-attribute quadruple for publishes, the stored base blob for
-  retrievals) and packs whole groups onto the least-loaded shard.  Every
-  item lands on exactly one shard, and items sharing a base never split
-  across shards — so shards touch disjoint master graphs, warm-base
-  copies and plan-cache keys, and rarely contend on anything but the
-  repository lock itself.
-* **Correctness.**  Each publish/delete runs under the repository's
-  exclusive write lock (the whole operation, journal appends included),
-  each retrieval under the shared read lock.  Parallel execution is
-  therefore a *reordering* of the sequential schedule, and the
-  differential suite (``tests/property/test_parallel_props.py``) pins
-  down that the reordering is invisible: byte-identical retrieval
-  manifests, identical refcounts and post-GC state, clean fsck.
-* **Accounting.**  The simulated clock counts *work*; wall-clock
-  overlap is modelled per shard.  Each shard's simulated seconds are
-  the sum of its items' charged time, and the batch's
-  ``critical_path_seconds`` is the *maximum* over shards — the
-  simulated elapsed time of the overlapped schedule, against the
-  summed ``simulated_seconds`` a sequential run would take.  Per-item
-  breakdowns stay exact because the clock's measurement windows are
-  thread-local.
-
-:class:`ParallelPublishReport` / :class:`ParallelRetrieveReport` extend
-the sequential batch reports with the per-shard accounts, so everything
-the operator tooling already reads (totals, failures, dedup and planner
-counters) keeps working unchanged.
+:class:`ParallelPublisher` / :class:`ParallelRetriever` run a batch on
+the one batch executor (:mod:`repro.service.executor`), partitioned by
+:func:`plan_shards` so that items sharing a base never split across
+shards — shards own disjoint master graphs, warm-base copies and
+plan-cache keys and contend only on the repository lock.  The
+differential suite (``tests/property/test_parallel_props.py``) pins
+down that the reordering is invisible.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
 
 from repro.core.assembly_plan import AssemblyPlanner, RetrievalRequest
 from repro.core.publisher import VMIPublisher
-from repro.errors import ReproError
 from repro.model.vmi import VirtualMachineImage
-from repro.service.batch import (
-    BatchItemResult,
-    BatchPublishReport,
-    _dedup_key,
-)
-from repro.service.retrieval import (
-    BatchRetrieveReport,
-    RetrieveItemResult,
-    _affine_key,
-)
+from repro.service.batch import BatchPublishReport, publish_batch
+from repro.service.retrieval import BatchRetrieveReport, retrieve_batch
 
 __all__ = [
     "ParallelPublisher",
-    "ParallelPublishReport",
     "ParallelRetriever",
-    "ParallelRetrieveReport",
-    "ShardAccount",
     "plan_shards",
 ]
 
 T = TypeVar("T")
-
-
-# ---------------------------------------------------------------------------
-# shard planning
-# ---------------------------------------------------------------------------
 
 
 def plan_shards(
@@ -116,73 +70,10 @@ def plan_shards(
     return shards
 
 
-@dataclass(frozen=True)
-class ShardAccount:
-    """What one shard of a parallel batch did and charged."""
-
-    shard: int
-    n_items: int
-    n_failed: int
-    #: simulated seconds this shard's items charged (its sequential
-    #: span inside the overlapped schedule)
-    simulated_seconds: float
-
-
-@dataclass(frozen=True)
-class _OverlapAccounting:
-    """Per-shard overlap accounting shared by both parallel reports.
-
-    Mixed in ahead of a batch report (which supplies
-    ``simulated_seconds`` — the summed work — and the base
-    ``render``); ``results`` on the combined report are ordered by the
-    caller's positions, since parallel execution order is
-    scheduling-dependent and deliberately not exposed.
-    """
-
-    shards: tuple[ShardAccount, ...] = ()
-
-    @property
-    def parallelism(self) -> int:
-        return len(self.shards)
-
-    @property
-    def critical_path_seconds(self) -> float:
-        """Simulated elapsed time of the overlapped schedule (the
-        slowest shard's span — what a wall clock would have seen)."""
-        return max(
-            (s.simulated_seconds for s in self.shards), default=0.0
-        )
-
-    @property
-    def overlap_speedup(self) -> float:
-        """Summed work over critical path: the modelled parallel gain."""
-        critical = self.critical_path_seconds
-        return self.simulated_seconds / critical if critical else 1.0
-
-    def render(self) -> str:
-        loads = ", ".join(
-            f"s{s.shard}:{s.n_items}x/{s.simulated_seconds:.0f}s"
-            for s in self.shards
-        )
-        return "\n".join(
-            [
-                super().render(),
-                f"  parallel: {len(self.shards)} shard(s) [{loads}] — "
-                f"critical path {self.critical_path_seconds:.1f}s of "
-                f"{self.simulated_seconds:.1f}s total work "
-                f"({self.overlap_speedup:.2f}x overlap)",
-            ]
-        )
-
-
-# ---------------------------------------------------------------------------
-# parallel publishing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParallelPublishReport(_OverlapAccounting, BatchPublishReport):
-    """A batch-publish report plus its per-shard overlap accounting."""
+def _positive(parallelism: int) -> int:
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be positive, got {parallelism}")
+    return parallelism
 
 
 class ParallelPublisher:
@@ -195,15 +86,9 @@ class ParallelPublisher:
     its caches are internally locked.
     """
 
-    def __init__(
-        self, publisher: VMIPublisher, *, parallelism: int
-    ) -> None:
-        if parallelism < 1:
-            raise ValueError(
-                f"parallelism must be positive, got {parallelism}"
-            )
+    def __init__(self, publisher: VMIPublisher, *, parallelism: int) -> None:
         self.publisher = publisher
-        self.parallelism = parallelism
+        self.parallelism = _positive(parallelism)
 
     def publish_many(
         self,
@@ -212,123 +97,30 @@ class ParallelPublisher:
         order: str = "dedup",
         progress=None,
         on_error: str = "continue",
-    ) -> ParallelPublishReport:
+    ) -> BatchPublishReport:
         """Publish a batch across shards; returns the merged report.
 
-        Mirrors :meth:`~repro.service.batch.BatchPublisher.
-        publish_many` (same ``order``/``progress``/``on_error``
-        contract); ``order="dedup"`` applies the dedup-aware ordering
-        *within* each shard — the affinity plan already keeps each
-        quadruple family whole, so ordering across shards is
-        irrelevant to dedup.
-
-        Raises:
-            ValueError: unknown ``order`` / ``on_error`` value.
-            ReproError: a failing publish, when ``on_error="raise"``.
+        Same contract as :meth:`~repro.service.batch.BatchPublisher.
+        publish_many`; ``order="dedup"`` applies within each shard,
+        which already holds whole quadruple families.
         """
-        if order not in ("dedup", "given"):
-            raise ValueError(f"unknown batch order {order!r}")
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
-
-        # items travel as (caller position, vmi) pairs, so duplicate
-        # objects in one batch keep distinct result positions
-        items = list(enumerate(vmis))
-        shards = plan_shards(
-            items, self.parallelism, lambda pv: pv[1].base.attrs.key()
+        return publish_batch(
+            [self.publisher] * self.parallelism, vmis, order=order,
+            progress=progress, on_error=on_error,
+            split=lambda shards: plan_shards(
+                shards[0], self.parallelism,
+                lambda pv: pv[1].base.attrs.key(),
+            ),
         )
-        if order == "dedup":
-            # same key as dedup_aware_order; the stable sort keeps
-            # equal-key uploads in their given (position) order
-            shards = [
-                sorted(shard, key=lambda pv: _dedup_key(pv[1]))
-                for shard in shards
-            ]
-
-        repo = self.publisher.repo
-        bytes_before = repo.total_bytes()
-        stats_before = self.publisher.selection_memo.stats.snapshot()
-        tracker = _ProgressTracker(progress, len(items))
-        abort = threading.Event()
-
-        def run_shard(shard_index: int, shard_items: list):
-            results: list[BatchItemResult] = []
-            simulated = 0.0
-            failed = 0
-            for pos, vmi in shard_items:
-                if abort.is_set():
-                    break
-                try:
-                    with repo.lock.write():
-                        report = self.publisher.publish(vmi)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        abort.set()
-                        raise
-                    failed += 1
-                    item = BatchItemResult(
-                        position=pos,
-                        name=vmi.name,
-                        error=str(exc),
-                    )
-                else:
-                    simulated += report.publish_time
-                    item = BatchItemResult(
-                        position=pos,
-                        name=vmi.name,
-                        report=report,
-                    )
-                results.append(item)
-                tracker.step(item)
-            return (
-                results,
-                ShardAccount(
-                    shard=shard_index,
-                    n_items=len(shard_items),
-                    n_failed=failed,
-                    simulated_seconds=simulated,
-                ),
-            )
-
-        outcomes = _run_sharded(shards, run_shard, self.parallelism)
-
-        results = sorted(
-            (item for shard_results, _ in outcomes for item in shard_results),
-            key=lambda item: item.position,
-        )
-        stats_after = self.publisher.selection_memo.stats
-        return ParallelPublishReport(
-            results=tuple(results),
-            repo_bytes_before=bytes_before,
-            repo_bytes_after=repo.total_bytes(),
-            selection_stats=stats_after.since(stats_before),
-            shards=tuple(account for _, account in outcomes),
-        )
-
-
-# ---------------------------------------------------------------------------
-# parallel retrieval
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParallelRetrieveReport(_OverlapAccounting, BatchRetrieveReport):
-    """A batch-retrieve report plus its per-shard overlap accounting."""
 
 
 class ParallelRetriever:
     """Drives one (internally locked) :class:`AssemblyPlanner` over
     base-affine shards, each retrieval under the shared read lock."""
 
-    def __init__(
-        self, planner: AssemblyPlanner, *, parallelism: int
-    ) -> None:
-        if parallelism < 1:
-            raise ValueError(
-                f"parallelism must be positive, got {parallelism}"
-            )
+    def __init__(self, planner: AssemblyPlanner, *, parallelism: int) -> None:
         self.planner = planner
-        self.parallelism = parallelism
+        self.parallelism = _positive(parallelism)
 
     def retrieve_many(
         self,
@@ -337,155 +129,17 @@ class ParallelRetriever:
         order: str = "affine",
         progress=None,
         on_error: str = "continue",
-    ) -> ParallelRetrieveReport:
+    ) -> BatchRetrieveReport:
         """Retrieve a batch across shards; returns the merged report.
 
-        Mirrors :meth:`~repro.service.retrieval.BatchRetriever.
-        retrieve_many` (names or request objects; same ``order``/
-        ``progress``/``on_error`` contract); ``order="affine"``
-        applies the base-affine ordering within each shard, where all
-        of a base's requests live anyway.
-
-        Raises:
-            ValueError: unknown ``order`` / ``on_error`` value.
-            ReproError: a failing retrieval, when ``on_error="raise"``
-                (including unresolvable names).
+        Same contract as :meth:`~repro.service.retrieval.BatchRetriever.
+        retrieve_many`; ``order="affine"`` applies within each shard,
+        which already holds all of a base's requests.
         """
-        if order not in ("affine", "given"):
-            raise ValueError(f"unknown batch order {order!r}")
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
-
-        repo = self.planner.repo
-        tracker = _ProgressTracker(progress, len(requests))
-
-        unresolved: list[RetrieveItemResult] = []
-        resolved: list[tuple[int, RetrievalRequest]] = []
-        for pos, item in enumerate(requests):
-            if isinstance(item, RetrievalRequest):
-                resolved.append((pos, item))
-                continue
-            try:
-                with repo.lock.read():
-                    record = repo.get_vmi_record(item)
-            except ReproError as exc:
-                if on_error == "raise":
-                    raise
-                failure = RetrieveItemResult(
-                    position=pos, name=item, error=str(exc)
-                )
-                unresolved.append(failure)
-                tracker.step(failure)
-                continue
-            resolved.append((pos, RetrievalRequest.for_record(record)))
-
-        shards = plan_shards(
-            resolved, self.parallelism, lambda pr: pr[1].base_key
+        return retrieve_batch(
+            [self.planner] * self.parallelism, requests, order=order,
+            progress=progress, on_error=on_error,
+            split=lambda shards: plan_shards(
+                shards[0], self.parallelism, lambda pr: pr[1].base_key
+            ),
         )
-        if order == "affine":
-            # same key as base_affine_order; the stable sort keeps
-            # equal-key requests in their given (position) order
-            shards = [
-                sorted(shard, key=lambda pr: _affine_key(pr[1]))
-                for shard in shards
-            ]
-
-        abort = threading.Event()
-
-        def run_shard(shard_index: int, shard_items: list):
-            results: list[RetrieveItemResult] = []
-            simulated = 0.0
-            failed = 0
-            for pos, request in shard_items:
-                if abort.is_set():
-                    break
-                try:
-                    with repo.lock.read():
-                        planned = self.planner.assemble(request)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        abort.set()
-                        raise
-                    failed += 1
-                    item = RetrieveItemResult(
-                        position=pos, name=request.name, error=str(exc)
-                    )
-                else:
-                    simulated += planned.report.breakdown.total
-                    item = RetrieveItemResult(
-                        position=pos,
-                        name=request.name,
-                        report=planned.report,
-                        plan_hit=planned.plan_hit,
-                        warm_base=planned.warm_base,
-                    )
-                results.append(item)
-                tracker.step(item)
-            return (
-                results,
-                ShardAccount(
-                    shard=shard_index,
-                    n_items=len(shard_items),
-                    n_failed=failed,
-                    simulated_seconds=simulated,
-                ),
-            )
-
-        stats_before = self.planner.stats.snapshot()
-        outcomes = _run_sharded(shards, run_shard, self.parallelism)
-
-        results = sorted(
-            unresolved
-            + [
-                item
-                for shard_results, _ in outcomes
-                for item in shard_results
-            ],
-            key=lambda item: item.position,
-        )
-        return ParallelRetrieveReport(
-            results=tuple(results),
-            planner_stats=self.planner.stats.since(stats_before),
-            shards=tuple(account for _, account in outcomes),
-        )
-
-
-# ---------------------------------------------------------------------------
-# shared executor plumbing
-# ---------------------------------------------------------------------------
-
-
-class _ProgressTracker:
-    """Serialises multi-threaded progress callbacks into done-counts."""
-
-    def __init__(self, callback, total: int) -> None:
-        self._callback = callback
-        self._total = total
-        self._done = 0
-        self._lock = threading.Lock()
-
-    def step(self, item) -> None:
-        if self._callback is None:
-            return
-        with self._lock:
-            self._done += 1
-            self._callback(self._done, self._total, item)
-
-
-def _run_sharded(shards, run_shard, parallelism: int):
-    """Run every shard on the pool; re-raise the first shard error."""
-    outcomes = []
-    errors: list[BaseException] = []
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [
-            pool.submit(run_shard, index, shard)
-            for index, shard in enumerate(shards)
-        ]
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except ReproError as exc:
-                errors.append(exc)
-    if errors:
-        raise errors[0]
-    return outcomes

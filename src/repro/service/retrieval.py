@@ -21,7 +21,9 @@ whole batch with its warm-base cache instead:
 
 Failure isolation mirrors the publish pipeline: a failing item (unknown
 name, incompatible composition) is recorded and the batch continues,
-unless ``on_error="raise"``.
+unless ``on_error="raise"``.  Every batch runs on
+:mod:`repro.service.executor` through :func:`retrieve_batch`, which
+the sharded fronts share.
 """
 
 from __future__ import annotations
@@ -37,7 +39,14 @@ from repro.core.assembly_plan import (
     RetrievalReport,
     RetrievalRequest,
 )
-from repro.errors import ReproError
+from repro.service.executor import (
+    Job,
+    OverlapAccounting,
+    ShardAccount,
+    check_options,
+    merge_stats,
+    run_batch,
+)
 from repro.sim.clock import TimeBreakdown
 
 __all__ = [
@@ -104,17 +113,20 @@ class RetrieveItemResult:
 
 
 @dataclass(frozen=True)
-class BatchRetrieveReport:
+class BatchRetrieveReport(OverlapAccounting):
     """What one retrieval batch served, and what it cost in aggregate."""
 
-    #: per-item outcomes in processing order: name-resolution failures
-    #: as they were hit, then executed retrievals in execution order
-    #: (which may differ from caller order — see ``position``)
+    #: per-item outcomes in caller order (see ``position``), failures
+    #: to resolve a name included
     results: tuple[RetrieveItemResult, ...]
     #: the shared planner's counter delta over the batch — planner-wide,
     #: so retrievals other threads run on the same planner meanwhile
     #: (single requests, other batches) are counted too
     planner_stats: PlannerStats
+    #: the items that ran, in the order they ran (shard by shard)
+    executed: tuple[RetrieveItemResult, ...]
+    #: per-shard accounts of a sharded run; empty when sequential
+    shards: tuple[ShardAccount, ...] = ()
 
     # -- outcomes -------------------------------------------------------
 
@@ -147,10 +159,12 @@ class BatchRetrieveReport:
 
     @cached_property
     def breakdown(self) -> TimeBreakdown:
-        """The Figure-5a component stack summed over the batch."""
+        """The Figure-5a component stack summed over the batch, in the
+        order the items ran (so float sums match the execution's)."""
         merged = TimeBreakdown()
-        for report in self.reports():
-            merged = merged.merged(report.breakdown)
+        for item in self.executed:
+            if item.ok:
+                merged = merged.merged(item.report.breakdown)
         return merged
 
     @property
@@ -191,7 +205,7 @@ class BatchRetrieveReport:
         ]
         for failure in self.failures():
             lines.append(f"  FAILED {failure.name}: {failure.error}")
-        return "\n".join(lines)
+        return "\n".join(lines + self.overlap_lines())
 
 
 class BatchRetriever:
@@ -221,70 +235,61 @@ class BatchRetriever:
             ReproError: a failing retrieval, when ``on_error="raise"``
                 (including unresolvable names).
         """
-        if order not in ("affine", "given"):
-            raise ValueError(f"unknown batch order {order!r}")
-        if on_error not in ("continue", "raise"):
-            raise ValueError(f"unknown error policy {on_error!r}")
-
-        n_total = len(requests)
-        results: list[RetrieveItemResult] = []
-
-        def record_item(item: RetrieveItemResult) -> None:
-            results.append(item)
-            if progress is not None:
-                progress(len(results), n_total, item)
-
-        repo = self.planner.repo
-        resolved: list[tuple[int, RetrievalRequest]] = []
-        for position, item in enumerate(requests):
-            if isinstance(item, RetrievalRequest):
-                request = item
-            else:
-                try:
-                    record = repo.get_vmi_record(item)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        raise
-                    record_item(
-                        RetrieveItemResult(
-                            position=position, name=item, error=str(exc)
-                        )
-                    )
-                    continue
-                request = RetrievalRequest.for_record(record)
-            resolved.append((position, request))
-
-        if order == "affine":
-            # key on the request alone; the stable sort keeps
-            # equal-key requests in their given (position) order
-            resolved.sort(key=lambda pr: _affine_key(pr[1]))
-        stats_before = self.planner.stats.snapshot()
-
-        for position, request in resolved:
-            try:
-                planned = self.planner.assemble(request)
-            except ReproError as exc:
-                if on_error == "raise":
-                    raise
-                record_item(
-                    RetrieveItemResult(
-                        position=position,
-                        name=request.name,
-                        error=str(exc),
-                    )
-                )
-            else:
-                record_item(
-                    RetrieveItemResult(
-                        position=position,
-                        name=request.name,
-                        report=planned.report,
-                        plan_hit=planned.plan_hit,
-                        warm_base=planned.warm_base,
-                    )
-                )
-
-        return BatchRetrieveReport(
-            results=tuple(results),
-            planner_stats=self.planner.stats.since(stats_before),
+        return retrieve_batch(
+            [self.planner], requests, order=order, progress=progress,
+            on_error=on_error, sharded=False,
         )
+
+
+def resolve_request(repo, item: RetrievalRequest | str) -> RetrievalRequest:
+    """A request as is, or a published name's request (one atomic record
+    lookup); raises NotInRepositoryError if unknown."""
+    if isinstance(item, RetrievalRequest):
+        return item
+    return RetrievalRequest.for_record(repo.get_vmi_record(item))
+
+
+def retrieve_batch(
+    planners: Sequence[AssemblyPlanner], requests, *, order, progress,
+    on_error, place=None, split=None, sharded=True,
+) -> BatchRetrieveReport:
+    """Serve ``requests`` on the executor, shard ``i`` on ``planners[i]``:
+    ``place(item) -> (shard, request)`` routes and resolves each item (a
+    ReproError rejects it; default: resolve against shard 0), and
+    ``split`` may re-partition the routed shards."""
+    check_options(on_error, order, ("affine", "given"))
+    unique = {id(p): p for p in planners}
+    before = {key: p.stats.snapshot() for key, p in unique.items()}
+
+    def run(i: int, position: int, request) -> RetrieveItemResult:
+        planned = planners[i].assemble(request)
+        return RetrieveItemResult(
+            position,
+            request.name,
+            report=planned.report,
+            plan_hit=planned.plan_hit,
+            warm_base=planned.warm_base,
+        )
+
+    def fail(position: int, item, error: str) -> RetrieveItemResult:
+        name = item if isinstance(item, str) else item.name
+        return RetrieveItemResult(position, name, error=error)
+
+    job = Job(repo=lambda i: planners[i].repo, run=run, fail=fail, write=False)
+    results, accounts, executed = run_batch(
+        list(enumerate(requests)), job,
+        place=place or (
+            lambda item: (0, resolve_request(planners[0].repo, item))
+        ),
+        n_shards=len(planners), split=split,
+        key=_affine_key if order == "affine" else None,
+        on_error=on_error, progress=progress,
+    )
+    return BatchRetrieveReport(
+        results=tuple(results),
+        planner_stats=merge_stats(
+            [p.stats.since(before[key]) for key, p in unique.items()]
+        ),
+        executed=tuple(executed),
+        shards=accounts if sharded else (),
+    )

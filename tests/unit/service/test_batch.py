@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.system import Expelliarmus
 from repro.image.builder import BuildRecipe, ImageBuilder
+from repro.repository.federation import FederatedRepository
 from repro.service.batch import (
     BatchPublisher,
     dedup_aware_order,
@@ -123,17 +124,24 @@ class TestBatchPublisher:
                 on_error="raise",
             )
 
-    def test_progress_callback(self, builders):
+    @pytest.mark.parametrize(
+        "make",
+        [Expelliarmus, lambda: FederatedRepository(shards=2)],
+        ids=["sequential", "federated"],
+    )
+    def test_progress_callback(self, builders, make):
         lean, _ = builders
-        system = Expelliarmus()
+        system = make()
         seen = []
+        # given in reverse: the dedup order runs vm-a first, and the
+        # callback reports each item at its caller position
         system.publish_many(
-            [_vmi(lean, "vm-a"), _vmi(lean, "vm-b")],
+            [_vmi(lean, "vm-b"), _vmi(lean, "vm-a")],
             progress=lambda done, total, item: seen.append(
-                (done, total, item.name, item.ok)
+                (done, total, item.name, item.position, item.ok)
             ),
         )
-        assert seen == [(1, 2, "vm-a", True), (2, 2, "vm-b", True)]
+        assert seen == [(1, 2, "vm-a", 1, True), (2, 2, "vm-b", 0, True)]
 
     def test_invalid_options_raise(self, builders):
         lean, _ = builders

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.system import Expelliarmus
 from repro.errors import PublishError, ReproError
+from repro.repository.federation import FederatedRepository
 from repro.service.parallel import (
     ParallelPublisher,
     ParallelRetriever,
@@ -170,18 +171,29 @@ class TestParallelPublisher:
         assert sum(s.n_items for s in report.shards) == 16
         assert all(s.n_failed == 0 for s in report.shards)
 
-    def test_progress_counts_monotonically(self, scale_corpus_factory):
+    @pytest.mark.parametrize(
+        "make, kwargs",
+        [
+            (Expelliarmus, {"parallelism": 4}),
+            (lambda: FederatedRepository(shards=3), {}),
+        ],
+        ids=["parallel", "federated"],
+    )
+    def test_progress_counts_monotonically(
+        self, scale_corpus_factory, make, kwargs
+    ):
         _, vmis = _corpus_vmis(scale_corpus_factory)
+        names = [v.name for v in vmis]
         seen = []
         lock = threading.Lock()
 
         def progress(done, total, item):
             with lock:
                 seen.append((done, total, item.ok))
+                # positions index the caller's sequence, not a shard's
+                assert names[item.position] == item.name
 
-        report = Expelliarmus().publish_many(
-            vmis, parallelism=4, progress=progress
-        )
+        report = make().publish_many(vmis, progress=progress, **kwargs)
         assert report.n_published == 16
         assert [done for done, _, _ in seen] == list(range(1, 17))
         assert all(total == 16 for _, total, _ in seen)
