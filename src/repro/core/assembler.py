@@ -3,8 +3,9 @@
 :class:`VMIAssembler` is the single-request front the system facade,
 the federation, the daemon and the CLI call.  It resolves the request
 through the :class:`~repro.core.assembly_plan.AssemblyPlanner`'s
-revision-checked plan cache — the one implementation of Algorithm 3 —
-and always charges a *cold* base copy, so every request pays exactly
+plan cache — the one implementation of Algorithm 3, whose plans stay
+valid while their own dependency closure in the master graph is
+unchanged — and always charges a *cold* base copy, so every request pays exactly
 the four Figure-5a components a fresh retrieval costs.
 """
 

@@ -27,19 +27,44 @@ set of ``(base image, primary set)`` combinations, so
   requests (:class:`~repro.core.assembler.VMIAssembler`) always pay the
   full repository read.
 
-**Cache soundness.**  A cached plan is only served while the
-repository state it was derived from still holds: the base blob must
-still be stored (content-addressed, so same key ⟹ same bytes) and the
-base's master graph must still carry the revision the plan recorded —
-:attr:`~repro.repository.master_graphs.MasterGraph.revision` is drawn
-from a process-wide monotonic counter, so any membership change
-(publish merge, base replacement, GC rebuild) moves it and the stale
-plan is re-derived.  A repository-wide mutation counter
-(:attr:`~repro.repository.repo.Repository.mutations`) provides a fast
-path: while nothing in the repository changed at all, revalidation is
-one integer compare.  The cache holds at most one plan per live VMI
-record and drops the least recently served plan first, so a
-long-running daemon's churn (deletes, replaced bases) cannot grow it.
+**Cache soundness.**  A cached plan is only served while the inputs
+it was derived from still hold.  The base blob must still be stored
+(content-addressed, so same key ⟹ same bytes) and the base must
+still have a master graph.  Then either the master's
+:attr:`~repro.repository.master_graphs.MasterGraph.revision` equals
+the one the cache entry was last validated at — revisions come from a
+process-wide monotonic counter, so an equal revision means no merge
+since — or the plan's own dependency closure is unchanged.  A plan
+records, when it is derived, the master's
+:attr:`~repro.repository.master_graphs.MasterGraph.lineage`, the
+closure's vertex keys, the sum of their out-degrees in the master's
+package graph, and for each requested primary how many master
+vertices carry its name.  The closure is unchanged while all four
+match, because:
+
+* within one lineage the package graph only grows, through
+  ``add_primary_subgraph`` → ``union_update``: vertices and edges are
+  appended, never removed, and an existing key's payload is never
+  replaced;
+* role strengthening does not matter: plans never read graph roles
+  (each step's role comes from the request, and ``is_compatible``
+  reads packages only);
+* a primary's root is the first maximal version among the vertices
+  with its name, which cannot move while that name's count is
+  unchanged;
+* DFS discovery order and the induced edge order cannot move while no
+  closure vertex gains an out-edge — and since edges are only ever
+  added, an unchanged out-degree sum means none was.
+
+A GC rebuild, a restore, a base replacement or a new master is a new
+object and so a new lineage, which always re-derives.  A
+repository-wide mutation counter
+(:attr:`~repro.repository.repo.Repository.mutations`) provides a
+faster path still: while nothing in the repository changed at all,
+revalidation is one integer compare.  The cache holds at most one plan
+per live VMI record and drops the least recently served plan first, so
+a long-running daemon's churn (deletes, replaced bases) cannot grow
+it.
 
 This is the only implementation of Algorithm 3.  The paper-literal
 derivation — no plans, no caches — lives in the test suite as the
@@ -60,6 +85,7 @@ from repro.image.guestfs import GuestfsHandle
 from repro.image.sysprep import sysprep
 from repro.model.graph import PackageRole, SemanticGraph
 from repro.model.vmi import VirtualMachineImage
+from repro.repository.master_graphs import MasterGraph
 from repro.repository.repo import Repository, VMIRecord
 from repro.sim.clock import SimulatedClock, TimeBreakdown
 from repro.sim.costmodel import CostModel
@@ -157,12 +183,32 @@ class AssemblyPlan:
     #: stored qcow2 bytes — the charged size of a cold base copy
     base_bytes: int
     installs: tuple[InstallStep, ...]
-    #: master-graph revision the install list was derived from; the
-    #: plan is stale the moment the master moves past it
-    master_revision: int
+    #: the master-graph inputs the install list was derived from (see
+    #: the module docstring): the master's lineage, the closure's
+    #: vertex keys, their summed out-degree, and per requested primary
+    #: the number of master vertices carrying its name
+    lineage: int
+    closure: tuple[str, ...]
+    out_degree: int
+    name_counts: tuple[tuple[str, int], ...]
 
     def imported_names(self) -> tuple[str, ...]:
         return tuple(step.name for step in self.installs)
+
+    def closure_unchanged(self, master: MasterGraph) -> bool:
+        """Does ``master`` still yield the closure this plan read?"""
+        if master.lineage != self.lineage:
+            return False
+        population = master.package_population()
+        if any(
+            len(population.get(name, ())) != count
+            for name, count in self.name_counts
+        ):
+            return False
+        return (
+            master.package_graph.out_degree_sum(self.closure)
+            == self.out_degree
+        )
 
 
 @dataclass
@@ -203,6 +249,9 @@ class _CacheEntry:
     #: repository mutation counter at last successful validation —
     #: while it matches, the plan is fresh by construction
     validated_at: int
+    #: master revision at last successful validation — while it
+    #: matches, nothing merged into the master since
+    revision: int
 
 
 @dataclass(frozen=True)
@@ -268,7 +317,7 @@ class AssemblyPlanner:
                 # unchanged since the last validation
                 if (
                     entry.validated_at == self.repo.mutations
-                    or self._still_valid(entry.plan)
+                    or self._still_valid(entry)
                 ):
                     entry.validated_at = self.repo.mutations
                     self.stats.plan_hits += 1
@@ -276,9 +325,11 @@ class AssemblyPlanner:
                     self._plans[key] = entry
                     return entry.plan, True
                 self.stats.plan_invalidations += 1
-            plan = self._derive(request)
+            plan, revision = self._derive(request)
             self._plans[key] = _CacheEntry(
-                plan=plan, validated_at=self.repo.mutations
+                plan=plan,
+                validated_at=self.repo.mutations,
+                revision=revision,
             )
             # at most one plan per live record: drop the least recently
             # served, so plans of deleted VMIs and replaced bases (never
@@ -287,22 +338,35 @@ class AssemblyPlanner:
                 del self._plans[next(iter(self._plans))]
             return plan, False
 
-    def _still_valid(self, plan: AssemblyPlan) -> bool:
-        """Is the repository state the plan was derived from intact?"""
+    def _still_valid(self, entry: _CacheEntry) -> bool:
+        """Are the inputs the entry's plan was derived from intact?
+
+        A revalidated entry is stamped with the master's current
+        revision, so the next lookup takes the integer path again.
+        """
+        plan = entry.plan
         if not self.repo.blobs.contains(plan.base_key):
             return False
-        return (
-            self.repo.master_revision(plan.base_key)
-            == plan.master_revision
-        )
+        master = self.repo.find_master_graph(plan.base_key)
+        if master is None:
+            return False
+        if master.revision != entry.revision:
+            if not plan.closure_unchanged(master):
+                return False
+            entry.revision = master.revision
+        return True
 
-    def _derive(self, request: RetrievalRequest) -> AssemblyPlan:
-        """Resolve a request from the master graph (Alg. 3 lines 1-2, 6-7)."""
+    def _derive(
+        self, request: RetrievalRequest
+    ) -> tuple[AssemblyPlan, int]:
+        """Resolve a request from the master graph (Alg. 3 lines 1-2,
+        6-7); returns the plan and the master revision it was read at."""
         self.stats.plans_derived += 1
         master = self.repo.get_master_graph(request.base_key)
+        population = master.package_population()
         gi_ps = SemanticGraph()
         for pname in request.primary_names:
-            if not master.has_package(pname):
+            if pname not in population:
                 raise RetrievalError(
                     f"package {pname!r} is not available for base "
                     f"{master.attrs}"
@@ -336,12 +400,20 @@ class AssemblyPlanner:
             for pkg in gi_ps.packages()
             if pkg.name not in base_names
         )
-        return AssemblyPlan(
+        closure = tuple(gi_ps.nx_graph)
+        plan = AssemblyPlan(
             base_key=request.base_key,
             base_bytes=self.repo.base_image_size(request.base_key),
             installs=installs,
-            master_revision=master.revision,
+            lineage=master.lineage,
+            closure=closure,
+            out_degree=master.package_graph.out_degree_sum(closure),
+            name_counts=tuple(
+                (pname, len(population[pname]))
+                for pname in request.primary_names
+            ),
         )
+        return plan, master.revision
 
     # ------------------------------------------------------------------
     # plan execution

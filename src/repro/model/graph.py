@@ -157,6 +157,15 @@ class SemanticGraph:
     def n_edges(self) -> int:
         return int(self._g.number_of_edges())
 
+    def out_degree_sum(self, keys: Iterable[str]) -> int:
+        """Total out-degree of the vertices ``keys`` (all must exist).
+
+        Edges are never removed, so on a graph that only grows an
+        unchanged sum means none of ``keys`` gained an out-edge.
+        """
+        succ = self._g._succ
+        return sum(len(succ[key]) for key in keys)
+
     def has_package(self, name: str) -> bool:
         """Is any version of package ``name`` a vertex of this graph?"""
         return any(p.name == name for p in self.packages())

@@ -38,6 +38,10 @@ class BlobStore:
 
     def __init__(self) -> None:
         self._blobs: dict[int, BlobRecord] = {}
+        #: running byte totals, updated by :meth:`put` / :meth:`remove`
+        #: so :meth:`total_bytes` is O(1) however large the store grows
+        self._total = 0
+        self._kind_totals = dict.fromkeys(BlobKind, 0)
 
     # ------------------------------------------------------------------
     # mutation
@@ -63,6 +67,8 @@ class BlobStore:
             )
         record = BlobRecord(key=key, kind=kind, size=size, label=label)
         self._blobs[key] = record
+        self._total += size
+        self._kind_totals[kind] += size
         return record
 
     def remove(self, key: int) -> BlobRecord:
@@ -72,9 +78,12 @@ class BlobStore:
             NotInRepositoryError: unknown key.
         """
         try:
-            return self._blobs.pop(key)
+            record = self._blobs.pop(key)
         except KeyError:
             raise NotInRepositoryError("blob", key) from None
+        self._total -= record.size
+        self._kind_totals[record.kind] -= record.size
+        return record
 
     # ------------------------------------------------------------------
     # queries
@@ -101,7 +110,7 @@ class BlobStore:
 
     def total_bytes(self, kind: BlobKind | None = None) -> int:
         """Bytes on the repository disk, optionally per blob kind."""
-        return sum(r.size for r in self.records(kind))
+        return self._total if kind is None else self._kind_totals[kind]
 
     def __len__(self) -> int:
         return len(self._blobs)

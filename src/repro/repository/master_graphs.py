@@ -132,6 +132,15 @@ class MasterGraph:
     #: results (extracted member subgraphs, compatibility verdicts) are
     #: cached under this pair and invalidate when members change.
     revision: int = 0
+    #: identity of this object's append-only history, drawn from the
+    #: same counter as ``revision`` when the object is built.  Within
+    #: one lineage ``package_graph`` only grows (vertices and edges are
+    #: appended, never removed or re-payloaded); a GC rebuild, restore
+    #: or new master is a new object and so a new lineage.  Process-
+    #: local: never persisted.
+    lineage: int = field(
+        default_factory=_REVISIONS.advance, init=False, compare=False
+    )
     #: package-population fingerprint: name -> every package vertex of
     #: ``package_graph`` bearing that name, in vertex insertion order.
     #: Maintained incrementally by :meth:`add_primary_subgraph`, built

@@ -10,12 +10,13 @@ and GC all work on the reloaded instance.
 Format v2 makes the round-trip *exact*, not merely functional: master
 graphs carry their membership ``revision`` and the repository carries
 its ``mutations`` counter, so derived-state caches persisted across
-sessions (assembly plans validate on ``(mutations, base revision)``)
-can never falsely validate against a reloaded repository.  Dirty-base
-state rides along as in v1; the liveness refcounts and zero-reference
-sets are reconstructed through the same store/record primitives that
-maintain them online, which reproduces them exactly (fsck's
-``refcount-drift`` check pins the equivalence down).
+sessions (assembly plans take integer fast paths on ``mutations``
+and on master revisions) can never falsely validate against a
+reloaded repository.  Dirty-base state rides along as in v1; the
+liveness refcounts and zero-reference sets are reconstructed through
+the same store/record primitives that maintain them online, which
+reproduces them exactly (fsck's ``refcount-drift`` check pins the
+equivalence down).
 
 Snapshots use pickle over the repository's plain-data state, read and
 written **only through the repository's public iteration API**
@@ -31,6 +32,7 @@ snapshot cannot desynchronise the two views.
 
 from __future__ import annotations
 
+import os
 import pickle
 from pathlib import Path
 
@@ -76,12 +78,20 @@ def repository_state(repo: Repository) -> dict:
 
 
 def save_repository(repo: Repository, path: str | Path) -> int:
-    """Write a snapshot; returns the snapshot size in bytes."""
-    blob = pickle.dumps(
-        repository_state(repo), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    Path(path).write_bytes(blob)
-    return len(blob)
+    """Write a snapshot; returns the snapshot size in bytes.
+
+    The state is pickled straight into a temp file, never built whole
+    in memory first, and the temp file atomically replaces ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_suffix(".tmp")
+    with tmp.open("wb") as file:
+        pickle.dump(
+            repository_state(repo), file, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        size = file.tell()
+    os.replace(tmp, path)
+    return size
 
 
 def restore_into(repo: Repository, state: dict) -> Repository:

@@ -214,15 +214,14 @@ class Repository:
             )
         self._mutations = count
 
-    def master_revision(self, base_key: int) -> int | None:
-        """The master-graph revision for a base, ``None`` when absent.
+    def find_master_graph(self, base_key: int) -> MasterGraph | None:
+        """The master graph of a base, ``None`` when absent.
 
-        The content-level freshness token for retrieval plans: a plan
-        derived at revision ``r`` is stale iff this no longer returns
-        ``r`` (membership merged in, base replaced, GC rebuilt).
+        The non-raising lookup retrieval plans revalidate through: a
+        plan stays fresh while this master's revision is unchanged or
+        its own dependency closure is (DESIGN.md §9).
         """
-        master = self._masters.get(base_key)
-        return master.revision if master is not None else None
+        return self._masters.get(base_key)
 
     # ------------------------------------------------------------------
     # liveness bookkeeping (refcounts + dirty bases)

@@ -48,7 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.errors import WorkspaceError, WorkspaceLockedError
 from repro.repository.oplog import OpLog, replay_ops
-from repro.repository.persistence import repository_state, restore_into
+from repro.repository.persistence import restore_into, save_repository
 from repro.repository.repo import Repository
 
 __all__ = ["Workspace"]
@@ -291,12 +291,7 @@ class Workspace:
         between the write and the log reset.
         """
         repo = self.repo
-        blob = pickle.dumps(
-            repository_state(repo), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        tmp = self.snapshot_path.with_suffix(".tmp")
-        tmp.write_bytes(blob)
-        os.replace(tmp, self.snapshot_path)
+        size = save_repository(repo, self.snapshot_path)
         if self._oplog is not None:
             self._oplog.close()
         self._oplog = OpLog.create(
@@ -304,7 +299,7 @@ class Workspace:
         )
         repo.attach_journal(self._oplog)
         self.checkpoints_written += 1
-        return len(blob)
+        return size
 
     @property
     def ops_since_checkpoint(self) -> int:

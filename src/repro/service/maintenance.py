@@ -31,11 +31,11 @@ and without letting garbage pile up unboundedly either.
   whenever the journal crosses that many entries — the op-count policy
   that bounds replay work without re-snapshotting per operation.
 * **Cache interaction safety.**  Every delete bumps the repository's
-  ``mutations`` counter and every GC rebuild moves the affected master
-  revisions, so :class:`~repro.core.assembly_plan.AssemblyPlanner`
-  caches revalidate instead of serving stale plans — plans for bases
-  the pass never touched keep hitting.  The integration tests pin this
-  down.
+  ``mutations`` counter and every GC rebuild replaces the affected
+  master graphs with new objects (a new lineage), so
+  :class:`~repro.core.assembly_plan.AssemblyPlanner` caches revalidate
+  instead of serving stale plans — plans for bases the pass never
+  touched keep hitting.  The integration tests pin this down.
 
 :class:`MaintenanceReport` aggregates the batch: per-item outcomes,
 interleaved GC reports, exact byte movement and the simulated seconds
@@ -44,6 +44,7 @@ charged under the ``"delete"`` and ``"gc"`` labels.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -245,46 +246,49 @@ class MaintenanceService:
         check_options(on_error)
 
         bytes_before = self.repo.total_bytes()
-        seconds_before = self.clock.now if self.clock else 0.0
         results: list[DeleteItemResult] = []
         gc_reports: list[GCReport] = []
         checkpoints = 0
 
-        for position, name in enumerate(names):
-            try:
-                # the record delete touches two tables; commit them as
-                # one transaction per item (GC passes batch their own)
-                with self.repo.metadata_batch():
-                    self.repo.delete_vmi_record(name)
-                if self.clock is not None and self.cost is not None:
-                    self.clock.advance(
-                        self.cost.delete_record(), "delete"
+        # a thread-local window, not a ``clock.now`` delta: under a
+        # federation the shards share one clock and run concurrently,
+        # so the delta would pick up the other shards' charges
+        window = self.clock.measure() if self.clock else nullcontext()
+        with window as charged:
+            for position, name in enumerate(names):
+                try:
+                    # the record delete touches two tables; commit them as
+                    # one transaction per item (GC passes batch their own)
+                    with self.repo.metadata_batch():
+                        self.repo.delete_vmi_record(name)
+                    if self.clock is not None and self.cost is not None:
+                        self.clock.advance(
+                            self.cost.delete_record(), "delete"
+                        )
+                except ReproError as exc:
+                    if on_error == "raise":
+                        raise
+                    item = DeleteItemResult(
+                        position=position, name=name, error=str(exc)
                     )
-            except ReproError as exc:
-                if on_error == "raise":
-                    raise
-                item = DeleteItemResult(
-                    position=position, name=name, error=str(exc)
-                )
-            else:
-                item = DeleteItemResult(position=position, name=name)
-            results.append(item)
-            if progress is not None:
-                progress(len(results), len(names), item)
-            if item.ok:
-                triggered = self.maybe_collect()
-                if triggered is not None:
-                    gc_reports.append(triggered)
-                if self.maybe_checkpoint():
-                    checkpoints += 1
+                else:
+                    item = DeleteItemResult(position=position, name=name)
+                results.append(item)
+                if progress is not None:
+                    progress(len(results), len(names), item)
+                if item.ok:
+                    triggered = self.maybe_collect()
+                    if triggered is not None:
+                        gc_reports.append(triggered)
+                    if self.maybe_checkpoint():
+                        checkpoints += 1
 
-        seconds_after = self.clock.now if self.clock else 0.0
         return MaintenanceReport(
             results=tuple(results),
             gc_reports=tuple(gc_reports),
             repo_bytes_before=bytes_before,
             repo_bytes_after=self.repo.total_bytes(),
             reclaimable_after=self.repo.reclaimable_bytes(),
-            simulated_seconds=seconds_after - seconds_before,
+            simulated_seconds=charged.total if charged is not None else 0.0,
             checkpoints=checkpoints,
         )

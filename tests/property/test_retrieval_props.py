@@ -20,7 +20,13 @@ suites hold it to the paper-literal derivation in
   manifest, same import order, same errors, and all four Figure-5a
   components equal.  Cached plans must never outlive the repository
   state they were derived from.
+
+Plan soundness rests on the append-only argument of DESIGN.md §9, and
+this suite is what checks it: CI raises the per-test example budget
+with ``RETRIEVAL_PROP_EXAMPLES``.
 """
+
+import os
 
 from algorithm3_oracle import reference_assemble, reference_retrieve
 from hypothesis import given, settings
@@ -28,6 +34,14 @@ from hypothesis import strategies as st
 
 from repro.core.assembly_plan import RETRIEVAL_COMPONENTS
 from repro.core.system import Expelliarmus
+
+#: example budget override; unset, each test keeps its own default
+_BUDGET = os.environ.get("RETRIEVAL_PROP_EXAMPLES")
+
+
+def _examples(default: int) -> int:
+    return int(_BUDGET) if _BUDGET else default
+
 
 #: Figure-5a components charged identically on both paths
 _EXACT_LABELS = ("handle", "reset", "import")
@@ -77,7 +91,7 @@ def _assert_cost_dominated(item, expected):
 
 
 class TestBatchEquivalence:
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=_examples(10), deadline=None)
     @given(data=st.data())
     def test_retrieve_many_equals_sequential(
         self, scale_corpus_factory, data
@@ -118,7 +132,7 @@ class TestBatchEquivalence:
             _assert_observationally_equal(item, reference[item.name])
             _assert_cost_dominated(item, reference[item.name])
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=_examples(6), deadline=None)
     @given(data=st.data())
     def test_second_batch_replays_plans_identically(
         self, scale_corpus_factory, data
@@ -148,7 +162,7 @@ class TestBatchEquivalence:
             )
             _assert_cost_dominated(item, by_name[item.name].report)
 
-    @settings(max_examples=6, deadline=None)
+    @settings(max_examples=_examples(6), deadline=None)
     @given(data=st.data())
     def test_orderings_agree_with_each_other(
         self, scale_corpus_factory, data
@@ -275,7 +289,7 @@ _STEPS = st.lists(
 
 
 class TestSingleRetrieveMatchesOracle:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=_examples(12), deadline=None)
     @given(data=st.data())
     def test_retrieve_interleaved_with_mutations(
         self, scale_corpus_factory, data
@@ -295,7 +309,7 @@ class TestSingleRetrieveMatchesOracle:
         for name in run.names:
             _assert_matches_oracle(run.system, name)
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=_examples(12), deadline=None)
     @given(data=st.data())
     def test_custom_assembly_interleaved_with_mutations(
         self, scale_corpus_factory, data

@@ -8,7 +8,8 @@ from algorithm3_oracle import reference_assemble, reference_retrieve
 from repro.core.assembly_plan import RetrievalRequest
 from repro.errors import NotInRepositoryError, RetrievalError
 from repro.image.builder import BuildRecipe
-from repro.model.graph import PackageRole
+from repro.model.graph import PackageRole, SemanticGraph
+from repro.model.package import make_package
 
 
 @pytest.fixture
@@ -19,6 +20,16 @@ def populated(mini_system, mini_builder, redis_recipe):
 
 def _request(system, name):
     return RetrievalRequest.for_record(system.repo.get_vmi_record(name))
+
+
+def _assert_matches_oracle(system, request, plan):
+    """The plan imports what Algorithm 3 derives from scratch, and
+    executing it assembles the oracle's VMI."""
+    oracle = reference_retrieve(system, request.name)
+    assert plan.imported_names() == oracle.imported_packages
+    served = system.planner.assemble(request).report
+    assert served.imported_packages == oracle.imported_packages
+    assert served.vmi.full_manifest() == oracle.vmi.full_manifest()
 
 
 class TestRetrievalRequest:
@@ -102,27 +113,107 @@ class TestPlanCache:
         assert hit
         assert planner.stats.plan_invalidations == 0
 
-    def test_master_revision_move_invalidates(
+    def test_sibling_publish_moves_revision_but_hits(
         self, populated, mini_builder
     ):
+        """A merge that leaves the plan's closure untouched moves the
+        master revision, yet the cached plan is still served — and it
+        is still exactly what Algorithm 3 derives from scratch."""
         planner = populated.planner
         request = _request(populated, "redis-vm")
-        planner.plan_for(request)
+        cached, _ = planner.plan_for(request)
+        revision = populated.repo.get_master_graph(request.base_key).revision
         # publishing a sibling merges into the master -> revision moves
         populated.publish(
             mini_builder.build(
                 BuildRecipe(name="nginx-vm", primaries=("nginx",))
             )
         )
+        master = populated.repo.get_master_graph(request.base_key)
+        assert master.revision != revision
+        plan, hit = planner.plan_for(request)
+        assert hit and plan is cached
+        assert planner.stats.plan_invalidations == 0
+        _assert_matches_oracle(populated, request, plan)
+
+    def test_new_out_edge_in_closure_invalidates(self, populated):
+        """A merge that gives a closure vertex a new dependency changes
+        what the plan must import: the plan is re-derived."""
+        planner = populated.planner
+        request = _request(populated, "redis-vm")
+        cached, _ = planner.plan_for(request)
+        master = populated.repo.get_master_graph(request.base_key)
+        libssl = master.find_package("libssl")
+        assert master.package_graph.package_key(libssl) in cached.closure
+        extra = make_package(
+            "libssl-extra", "1.0", installed_size=10_000, n_files=2
+        )
+        populated.repo.store_package(extra)
+        sub = SemanticGraph()
+        src = sub.add_package(libssl, PackageRole.DEPENDENCY)
+        dst = sub.add_package(extra, PackageRole.DEPENDENCY)
+        sub.add_dependency_edge(src, dst)
+        nodes = len(master.package_graph)
+        master.add_primary_subgraph(sub)
+        # only a vertex outside the closure and one out-edge of a
+        # closure vertex were added; no primary's name count moved
+        assert len(master.package_graph) == nodes + 1
         plan, hit = planner.plan_for(request)
         assert not hit
         assert planner.stats.plan_invalidations == 1
-        # the re-derived plan tracks the grown master graph: whatever
-        # order Algorithm 3 would import in now, the plan matches it
-        assert (
-            plan.imported_names()
-            == populated.retrieve("redis-vm").imported_packages
+        assert "libssl-extra" in plan.imported_names()
+        _assert_matches_oracle(populated, request, plan)
+
+    def test_newer_unpinned_primary_invalidates(self, populated):
+        """An unpinned request resolves to the newest version: merging
+        a newer one (no new edges anywhere in the closure) must move
+        the plan's root."""
+        planner = populated.planner
+        base_key = populated.repo.base_images()[0].blob_key()
+        populated.assemble_custom("custom", base_key, ("redis-server",))
+        newer = make_package(
+            "redis-server", "3.2.0", installed_size=1_600_000, n_files=31
         )
+        populated.repo.store_package(newer)
+        sub = SemanticGraph()
+        sub.add_package(newer, PackageRole.PRIMARY)
+        populated.repo.get_master_graph(base_key).add_primary_subgraph(sub)
+        report = populated.assemble_custom(
+            "custom", base_key, ("redis-server",)
+        )
+        assert planner.stats.plan_invalidations == 1
+        assert planner.stats.plan_hits == 0
+        installed = report.vmi.installed("redis-server")
+        assert str(installed.package.version) == "3.2.0"
+        oracle = reference_assemble(
+            populated, "custom", base_key, ("redis-server",)
+        )
+        assert report.imported_packages == oracle.imported_packages
+        assert report.vmi.full_manifest() == oracle.vmi.full_manifest()
+
+    def test_gc_rebuild_invalidates_on_lineage(self, populated):
+        """A GC rebuild yields an equal master with equal degrees and
+        name counts, but it is a new object: the plan is re-derived."""
+        planner = populated.planner
+        request = _request(populated, "redis-vm")
+        plan, _ = planner.plan_for(request)
+        old = populated.repo.get_master_graph(request.base_key)
+        populated.garbage_collect(full=True)
+        rebuilt = populated.repo.get_master_graph(request.base_key)
+        assert rebuilt is not old and rebuilt.lineage != plan.lineage
+        assert rebuilt.package_graph.out_degree_sum(plan.closure) == (
+            plan.out_degree
+        )
+        population = rebuilt.package_population()
+        assert all(
+            len(population[name]) == count
+            for name, count in plan.name_counts
+        )
+        fresh, hit = planner.plan_for(request)
+        assert not hit
+        assert planner.stats.plan_invalidations == 1
+        assert fresh.lineage == rebuilt.lineage
+        assert fresh.installs == plan.installs
 
     def test_removed_base_invalidates(self, populated):
         planner = populated.planner

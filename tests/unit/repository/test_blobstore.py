@@ -62,3 +62,50 @@ class TestAccounting:
         store.put(2, BlobKind.BASE_IMAGE, 10, "b")
         assert len(store.records()) == 2
         assert len(store.records(BlobKind.PACKAGE)) == 1
+
+
+def _assert_totals_fresh(store):
+    """The running totals equal a from-scratch sum over the records."""
+    assert store.total_bytes() == sum(r.size for r in store.records())
+    for kind in BlobKind:
+        assert store.total_bytes(kind) == sum(
+            r.size for r in store.records(kind)
+        )
+
+
+class TestRunningTotals:
+    def test_totals_track_put_and_remove(self, store):
+        store.put(1, BlobKind.PACKAGE, 100, "pkg")
+        store.put(2, BlobKind.BASE_IMAGE, 1_000, "base")
+        store.put(3, BlobKind.USER_DATA, 10, "data")
+        assert store.total_bytes(BlobKind.PACKAGE) == 100
+        store.remove(2)
+        assert store.total_bytes() == 110
+        assert store.total_bytes(BlobKind.BASE_IMAGE) == 0
+        _assert_totals_fresh(store)
+
+    def test_totals_fresh_across_the_repository_lifecycle(self, tmp_path):
+        """Publish, delete, GC, re-base and reopen all keep the
+        running totals equal to a fresh sum."""
+        from repro.core.system import Expelliarmus
+        from repro.workloads.scale import scale_corpus
+
+        corpus = scale_corpus(
+            60, n_families=3, split_base_pct=50, fat_base_pct=0
+        )
+        system = Expelliarmus.open(tmp_path / "ws")
+        for vmi in corpus.build_all():
+            system.publish(vmi)
+        _assert_totals_fresh(system.repo.blobs)
+        system.delete_many(list(corpus.legacy_names()))
+        _assert_totals_fresh(system.repo.blobs)
+        assert system.garbage_collect().reclaimed_bytes > 0
+        _assert_totals_fresh(system.repo.blobs)
+        assert system.rebase().candidates_applied > 0
+        _assert_totals_fresh(system.repo.blobs)
+        total = system.repo.total_bytes()
+        system.close()
+        reopened = Expelliarmus.open(tmp_path / "ws")
+        assert reopened.repo.total_bytes() == total
+        _assert_totals_fresh(reopened.repo.blobs)
+        reopened.close()

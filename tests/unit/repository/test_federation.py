@@ -121,6 +121,27 @@ class TestRouting:
             fed.delete("ghost")
 
 
+class TestFederatedDelete:
+    def test_delete_many_seconds_are_deterministic(self):
+        """Each shard reports the seconds its own thread charged, not a
+        shared-clock delta that picks up the other shards' work."""
+        seconds = []
+        for _ in range(3):
+            fed = FederatedRepository(shards=4)
+            _publish_range(fed, 20)
+            names = [CORPUS.spec(i).name for i in range(16)]
+            assert len({fed.shard_of(name) for name in names}) > 1
+            report = fed.delete_many(names, gc_threshold_bytes=0)
+            assert report.n_failed == 0
+            delete_s = fed.systems[0].cost.delete_record()
+            assert report.simulated_seconds == pytest.approx(
+                16 * delete_s
+                + sum(gc.gc_seconds for gc in report.gc_reports)
+            )
+            seconds.append(report.simulated_seconds)
+        assert len(set(seconds)) == 1
+
+
 class TestDurability:
     def test_reopen_with_mismatched_shard_count_fails(self, tmp_path):
         fed = FederatedRepository.open(tmp_path / "fed", shards=3)

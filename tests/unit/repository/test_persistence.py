@@ -1,10 +1,16 @@
 """Unit tests for repository snapshots."""
 
+import pickle
+
 import pytest
 
 from repro.core.system import Expelliarmus
 from repro.image.builder import BuildRecipe
-from repro.repository.persistence import load_repository, save_repository
+from repro.repository.persistence import (
+    load_repository,
+    repository_state,
+    save_repository,
+)
 
 
 @pytest.fixture
@@ -38,6 +44,26 @@ class TestRoundTrip:
         assert restored.bytes_by_kind() == (
             populated.repo.bytes_by_kind()
         )
+
+    def test_streamed_snapshot_equals_in_memory_pickle(
+        self, populated, tmp_path
+    ):
+        """Pickling straight into the file writes exactly the bytes
+        ``pickle.dumps`` would have built in memory, for both the plain
+        snapshot and a workspace checkpoint."""
+        expected = pickle.dumps(
+            repository_state(populated.repo),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        path = tmp_path / "repo.snapshot"
+        assert save_repository(populated.repo, path) == len(expected)
+        assert path.read_bytes() == expected
+        assert not list(tmp_path.glob("*.tmp"))
+
+        assert populated.save(tmp_path / "ws") == len(expected)
+        snapshot = populated.workspace.snapshot_path
+        assert snapshot.read_bytes() == expected
+        populated.close()
 
     def test_restored_repo_retrieves(self, populated, tmp_path):
         path = tmp_path / "repo.snapshot"
