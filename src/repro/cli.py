@@ -9,13 +9,13 @@ Subcommands:
 * ``publish-many [names...]`` — batch-publish a corpus through the
   scale-out pipeline (dedup-aware ordering, aggregated accounting);
   ``--scale N`` publishes an N-VMI generated multi-family corpus;
-  ``--parallel N`` runs family-affine shards on a thread pool with
-  critical-path accounting;
+  ``--parallel N`` splits it into N family-affine shards, run one after
+  another and accounted as N overlapped workers (critical path);
 * ``retrieve-many [names...]`` — batch-retrieve published VMIs through
   the plan-caching pipeline (base-affine ordering, per-component
   accounting); ``--cold`` serves each request through the sequential
-  cache-less assembler for comparison; ``--parallel N`` serves
-  base-affine shards concurrently under the shared read lock;
+  cache-less assembler for comparison; ``--parallel N`` splits it into
+  N base-affine shards, accounted as N overlapped workers;
 * ``delete`` — batch-delete VMIs through the maintenance pipeline
   (``--gc-threshold-gb`` interleaves incremental GC passes scheduled
   by the reclaimable-bytes estimate);
@@ -245,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "publish through N family-affine shards on a thread pool "
-            "(write-lock serialized; default: sequential pipeline)"
+            "publish through N family-affine shards, modelled as N "
+            "overlapped workers (default: sequential pipeline)"
         ),
     )
     many.add_argument(
@@ -284,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "retrieve through N base-affine shards on a thread pool "
-            "(read-lock shared; default: sequential pipeline)"
+            "retrieve through N base-affine shards, modelled as N "
+            "overlapped workers (default: sequential pipeline)"
         ),
     )
     ret.add_argument(

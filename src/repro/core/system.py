@@ -190,11 +190,11 @@ class Expelliarmus:
         (simulated seconds, bytes, dedup counts, Algorithm 2 work).
 
         ``parallelism=N`` shards the batch instead
-        (:class:`~repro.service.parallel.ParallelPublisher`):
-        family-affine shards on N worker threads, every publish under
-        the repository's exclusive write lock, per-shard critical-path
-        accounting in the report's ``shards``.  The stored outcome is
-        identical to the sequential pipeline's.
+        (:class:`~repro.service.parallel.ParallelPublisher`): N
+        family-affine shards, run one after another on the calling
+        thread and accounted as N overlapped workers — per-shard
+        critical-path accounting in the report's ``shards``.  The
+        stored outcome is identical to the sequential pipeline's.
         """
         from repro.service.batch import BatchPublisher
         from repro.service.parallel import ParallelPublisher
@@ -232,10 +232,10 @@ class Expelliarmus:
         cost differs.
 
         ``parallelism=N`` shards the batch instead
-        (:class:`~repro.service.parallel.ParallelRetriever`):
-        base-affine shards on N worker threads, every retrieval under
-        the shared read lock against the internally locked planner,
-        per-shard critical-path accounting in the report's ``shards``.
+        (:class:`~repro.service.parallel.ParallelRetriever`): N
+        base-affine shards, run one after another on the calling
+        thread and accounted as N overlapped workers — per-shard
+        critical-path accounting in the report's ``shards``.
         """
         from repro.service.parallel import ParallelRetriever
         from repro.service.retrieval import BatchRetriever

@@ -88,9 +88,9 @@ class MetadataDatabase:
     """Thin typed layer over the SQLite schema above."""
 
     def __init__(self, path: str = ":memory:") -> None:
-        # check_same_thread=False: the parallel service executors reach
-        # this connection from pool threads, always serialized by the
-        # repository lock (writes exclusive, reads against a quiescent
+        # check_same_thread=False: the daemon's connection threads
+        # reach this connection, always serialized by the repository
+        # lock (writes exclusive, reads against a quiescent
         # writer side) — the cross-thread handoff SQLite's default
         # check exists to catch cannot interleave statements here
         self._conn = sqlite3.connect(path, check_same_thread=False)
@@ -99,9 +99,9 @@ class MetadataDatabase:
         self._seq = 0
         #: open :meth:`batch` scopes; while > 0, per-statement commits
         #: are deferred to the outermost scope exit.  Guarded by its own
-        #: mutex because concurrent publish shards may nest batches from
-        #: several pool threads (statements themselves stay serialized
-        #: by the repository lock).
+        #: mutex because callers on several threads may nest batches
+        #: (statements themselves stay serialized by the repository
+        #: lock).
         self._batch_depth = 0
         self._batch_mutex = threading.Lock()
 

@@ -12,13 +12,13 @@ outcome byte-identical to a single repository:
   families onto shards (rendezvous hashing over
   :func:`~repro.ids.content_id`), the same never-split-a-family
   affinity contract :func:`~repro.service.parallel.plan_shards` gives
-  thread shards.  Because every one of a family's publishes lands on
-  the one shard holding that family's bases, per-shard Algorithm 2
-  sees exactly the candidate set a single repository would — so base
-  evolution, dedup decisions and retrieval manifests match the
-  single-repository run, and the union of the shards' content-addressed
-  blobs equals the single repository's blob set (the differential
-  property suite pins this down).
+  the ``parallelism=N`` shards.  Because every one of a family's
+  publishes lands on the one shard holding that family's bases,
+  per-shard Algorithm 2 sees exactly the candidate set a single
+  repository would — so base evolution, dedup decisions and retrieval
+  manifests match the single-repository run, and the union of the
+  shards' content-addressed blobs equals the single repository's blob
+  set (the differential property suite pins this down).
 * **Global base-image index.**  :attr:`FederatedRepository.base_index`
   maps every stored family to the shard holding its bases.  Publishes
   consult it *before* per-shard selection: a base stored on any shard
@@ -43,7 +43,8 @@ close), so the CLI and the image server front a federation unchanged.
 All shard systems share one :class:`~repro.sim.clock.SimulatedClock`;
 the ``*_many`` pipelines route items onto the batch executor
 (:mod:`repro.service.executor`), so critical-path speedup vs shard
-count is read off the same per-shard accounting as thread shards.
+count is read off the same per-shard accounting as ``parallelism=N``
+batches: the shards run one after another, their overlap modelled.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from repro.service.executor import (
     Progress,
     check_options,
     route,
-    run_shards,
 )
 from repro.service.maintenance import DeleteItemResult, MaintenanceReport
 from repro.service.rebase import RebaseReport
@@ -350,9 +350,9 @@ class FederatedRepository:
         """Re-derive the name and base indexes from the shards.
 
         The shards are the source of truth — the router never trusts
-        its own maps across GC, rebalance or reopen.  On conflicting
-        placements (a split family / duplicate name, which fsck flags)
-        the lowest shard index wins deterministically.
+        its own maps across GC, rebalance, reopen or a raised batch.
+        On conflicting placements (a split family / duplicate name,
+        which fsck flags) the lowest shard index wins deterministically.
         """
         self._family_home = {}
         self._names = {}
@@ -474,7 +474,7 @@ class FederatedRepository:
             del self._names[name]
 
     # ------------------------------------------------------------------
-    # batch pipelines (one worker per shard)
+    # batch pipelines (one modelled worker per shard)
     # ------------------------------------------------------------------
 
     def publish_many(
@@ -513,11 +513,15 @@ class FederatedRepository:
             return shard, vmi
 
         with self.lock.write():
-            report = publish_batch(
-                [system.publisher for system in self.systems], vmis,
-                order=order, progress=progress, on_error=on_error,
-                place=place, total_bytes=self.total_bytes,
-            )
+            try:
+                report = publish_batch(
+                    [system.publisher for system in self.systems], vmis,
+                    order=order, progress=progress, on_error=on_error,
+                    place=place, total_bytes=self.total_bytes,
+                )
+            except BaseException:
+                self._rebuild_routing()  # the items stored before it
+                raise
             for item in report.results:
                 if item.ok:
                     self._names[item.name] = batch_shard[item.name]
@@ -560,7 +564,7 @@ class FederatedRepository:
         gc_threshold_bytes: int | None = None,
         checkpoint_every_ops: int | None = None,
     ) -> MaintenanceReport:
-        """Batch-delete across the shards, one worker thread each.
+        """Batch-delete across the shards, one shard after another.
 
         Same contract as :meth:`Expelliarmus.delete_many`; GC
         thresholds and checkpoint policies apply per shard (each shard
@@ -571,9 +575,6 @@ class FederatedRepository:
         tracker = Progress(progress, len(names))
 
         def run_shard(index: int, items: list):
-            if not items:
-                return [], None
-
             def in_batch(item):  # shard-local -> caller position
                 return replace(item, position=items[item.position][0])
 
@@ -596,7 +597,14 @@ class FederatedRepository:
                 lambda pos, name, error: DeleteItemResult(pos, name, error),
                 self.n_shards, on_error=on_error, progress=tracker,
             )
-            outcomes = run_shards(shards, run_shard)
+            try:
+                outcomes = [
+                    run_shard(index, items)
+                    for index, items in enumerate(shards) if items
+                ]
+            except BaseException:
+                self._rebuild_routing()  # the items deleted before it
+                raise
             results = sorted(
                 [*failed, *(r for ran, _ in outcomes for r in ran)],
                 key=lambda item: item.position,
@@ -604,7 +612,7 @@ class FederatedRepository:
             for item in results:
                 if item.ok:
                     self._names.pop(item.name, None)
-            reports = [r for _, r in outcomes if r is not None]
+            reports = [r for _, r in outcomes]
             return MaintenanceReport(
                 results=tuple(results),
                 gc_reports=tuple(gc for r in reports for gc in r.gc_reports),

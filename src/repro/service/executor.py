@@ -3,16 +3,16 @@
 Items travel as ``(caller position, payload)`` pairs.  A front picks a
 partitioner — one shard when sequential, :func:`~repro.service.
 parallel.plan_shards` for ``parallelism=N``, family routing for the
-federation — and :func:`run_batch` alone runs the shards: each item
-under its repository's lock, failures isolated per item (or raised),
-progress serialised, one :class:`ShardAccount` per shard, results
-merged back into caller order.
+federation — and :func:`run_batch` alone runs the shards, one after
+another on the calling thread: each item under its repository's lock,
+each publishing shard in one commit scope, failures isolated per item
+(or raised), one :class:`ShardAccount` per shard, results merged back
+into caller order.  The shards are *modelled* workers: their overlap
+is accounted, not executed (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
@@ -28,7 +28,6 @@ __all__ = [
     "merge_stats",
     "route",
     "run_batch",
-    "run_shards",
 ]
 
 
@@ -41,19 +40,18 @@ def check_options(on_error: str, order=None, orders: Sequence[str] = ()):
 
 
 class Progress:
-    """Serialises ``callback(items done, batch size, last result)``."""
+    """Calls ``callback(items done, batch size, last result)`` once per
+    item."""
 
     def __init__(self, callback, total: int) -> None:
         self._callback = callback
         self._total = total
         self._done = 0
-        self._lock = threading.Lock()
 
     def step(self, item) -> None:
         if self._callback is not None:
-            with self._lock:
-                self._done += 1
-                self._callback(self._done, self._total, item)
+            self._done += 1
+            self._callback(self._done, self._total, item)
 
 
 def merge_stats(deltas):
@@ -152,27 +150,6 @@ def route(items, place, fail, n_shards: int, *, on_error, progress):
     return shards, failed
 
 
-def run_shards(shards: Sequence, run_shard: Callable) -> list:
-    """``run_shard(index, shard)`` for every shard, outcomes in shard
-    order: inline on the calling thread when at most one shard has
-    items, else on a pool with one worker per shard (the first shard
-    error re-raised once all have stopped)."""
-    if sum(1 for shard in shards if shard) <= 1:
-        return [run_shard(i, shard) for i, shard in enumerate(shards)]
-    errors: list[ReproError] = []
-    outcomes = []
-    with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-        futures = [pool.submit(run_shard, *s) for s in enumerate(shards)]
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except ReproError as exc:
-                errors.append(exc)
-    if errors:
-        raise errors[0]
-    return outcomes
-
-
 def run_batch(
     items, job: Job, *, place, n_shards: int, split=None, key=None,
     on_error, progress,
@@ -183,12 +160,12 @@ def run_batch(
 
     :func:`route` partitions the items by ``place`` into ``n_shards``
     shards, ``split`` may re-partition those, and ``key`` (of a
-    payload) orders each shard, stably.  A failing item is recorded
-    through ``job.fail`` — or, under ``on_error="raise"``, stops every
-    shard at its next item and propagates.  A publishing shard alone on
-    its repository commits once (one ``metadata_batch()`` scope);
-    shards sharing a repository commit per write, which measured faster
-    (DESIGN.md §12).
+    payload) orders each shard, stably.  The shards run one after
+    another on the calling thread; a publishing shard commits once (one
+    ``metadata_batch()`` scope), whether or not other shards share its
+    repository.  A failing item is recorded through ``job.fail`` — or,
+    under ``on_error="raise"``, propagates, and no later item or shard
+    runs.
     """
     tracker = Progress(progress, len(items))
     shards, failed = route(
@@ -198,32 +175,24 @@ def run_batch(
         shards = split(shards)
     if key is not None:
         shards = [sorted(s, key=lambda pair: key(pair[1])) for s in shards]
-    repos = [job.repo(i) for i in range(len(shards))]
-    busy = [repos[i] for i, shard in enumerate(shards) if shard]
-    aborted = False  # set by the first failure under on_error="raise"
 
     def run_shard(index, pairs):
-        nonlocal aborted
-        repo = repos[index]
+        repo = job.repo(index)
         # the lock's pair of calls, not its generator-based context
         # manager: that would double the per-item locking cost
         lock = repo.lock
         acquire = lock.acquire_write if job.write else lock.acquire_read
         release = lock.release_write if job.write else lock.release_read
-        alone = pairs and sum(1 for r in busy if r is repo) == 1
         results = []
         seconds = 0.0
         failures = 0
-        with repo.metadata_batch() if job.write and alone else nullcontext():
+        with repo.metadata_batch() if job.write and pairs else nullcontext():
             for position, payload in pairs:
-                if aborted:
-                    break
                 acquire()
                 try:
                     item = job.run(index, position, payload)
                 except ReproError as exc:
                     if on_error == "raise":
-                        aborted = True
                         raise
                     failures += 1
                     item = job.fail(position, payload, str(exc))
@@ -235,7 +204,7 @@ def run_batch(
                 tracker.step(item)
         return results, ShardAccount(index, len(pairs), failures, seconds)
 
-    outcomes = run_shards(shards, run_shard)
+    outcomes = [run_shard(i, pairs) for i, pairs in enumerate(shards)]
     ran = [item for results, _ in outcomes for item in results]
     merged = sorted([*failed, *ran], key=lambda item: item.position)
     return merged, tuple(account for _, account in outcomes), ran

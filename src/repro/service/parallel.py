@@ -4,9 +4,12 @@
 the one batch executor (:mod:`repro.service.executor`), partitioned by
 :func:`plan_shards` so that items sharing a base never split across
 shards — shards own disjoint master graphs, warm-base copies and
-plan-cache keys and contend only on the repository lock.  The
-differential suite (``tests/property/test_parallel_props.py``) pins
-down that the reordering is invisible.
+plan-cache keys, so each shard's charged seconds are independent of
+the others'.  The shards are modelled workers: they run one after
+another, and the report's per-shard accounts give the overlapped
+(critical-path) time.  The differential suite
+(``tests/property/test_parallel_props.py``) pins down that the
+reordering is invisible.
 """
 
 from __future__ import annotations
@@ -79,11 +82,10 @@ def _positive(parallelism: int) -> int:
 class ParallelPublisher:
     """Drives one :class:`VMIPublisher` over family-affine shards.
 
-    Every publish runs under the repository's exclusive write lock, so
-    mutations never interleave *within* an operation; shards overlap
-    their simulated I/O, which the per-shard accounts expose as
-    critical-path time.  The publisher's selection memo is shared —
-    its caches are internally locked.
+    The shards run one after another on the calling thread, every
+    publish under the repository's write lock; the per-shard accounts
+    model them as overlapped workers and expose the critical-path time.
+    The publisher's selection memo is shared by every shard.
     """
 
     def __init__(self, publisher: VMIPublisher, *, parallelism: int) -> None:
@@ -115,8 +117,9 @@ class ParallelPublisher:
 
 
 class ParallelRetriever:
-    """Drives one (internally locked) :class:`AssemblyPlanner` over
-    base-affine shards, each retrieval under the shared read lock."""
+    """Drives one :class:`AssemblyPlanner` over base-affine shards, run
+    one after another on the calling thread (each retrieval under the
+    read lock) and accounted as overlapped workers."""
 
     def __init__(self, planner: AssemblyPlanner, *, parallelism: int) -> None:
         self.planner = planner

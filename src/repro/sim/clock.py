@@ -6,13 +6,14 @@ Every expensive operation in the substrate advances a
 breakdown: retrieval time split into base-image copy, guestfs handle
 creation, VMI reset and package import.
 
-Thread safety (DESIGN.md §12): one clock may be shared by the parallel
-service executors.  ``now`` accumulates under a mutex and therefore
+Thread safety (DESIGN.md §12): one clock may be shared by the daemon's
+connection threads.  ``now`` accumulates under a mutex and therefore
 counts the *summed* work of all threads; measurement windows are
 *thread-local*, so a ``measure()`` block captures exactly the time its
-own thread charged — per-item breakdowns stay correct when items run on
-worker threads, and the executors derive critical-path (overlapped)
-time from the per-shard sums instead of this global total.
+own thread charged — per-request breakdowns stay correct under
+concurrent requests.  The batch executor derives critical-path
+(overlapped) time from per-shard sums of per-item windows, never from
+this global total.
 """
 
 from __future__ import annotations

@@ -142,6 +142,40 @@ class TestFederatedDelete:
         assert len(set(seconds)) == 1
 
 
+class TestRaisedBatchKeepsRouter:
+    """Regression: a federated batch that raised never entered the
+    items it had already applied in the name router."""
+
+    @staticmethod
+    def _assert_router_matches_shards(fed):
+        assert fed.fsck().clean, [str(f) for f in fed.fsck().findings]
+        stored = sorted(
+            record.name
+            for system in fed.systems
+            for record in system.repo.vmi_records()
+        )
+        assert sorted(fed.published_names()) == stored
+        for name in stored:
+            assert fed.retrieve(name).vmi.name == name
+
+    def test_publish_many_raise_routes_the_stored_items(self):
+        fed = FederatedRepository(shards=2)
+        batch = [CORPUS.build(i) for i in range(6)] + [CORPUS.build(0)]
+        with pytest.raises(PublishError):
+            fed.publish_many(batch, order="given", on_error="raise")
+        assert len(fed.published_names()) == 6
+        self._assert_router_matches_shards(fed)
+
+    def test_delete_many_raise_unroutes_the_deleted_items(self):
+        fed = FederatedRepository(shards=2)
+        _publish_range(fed, 6)
+        names = [CORPUS.spec(i).name for i in range(6)]
+        with pytest.raises(NotInRepositoryError):
+            fed.delete_many(names[:3] + [names[0]], on_error="raise")
+        assert sorted(fed.published_names()) == sorted(names[3:])
+        self._assert_router_matches_shards(fed)
+
+
 class TestDurability:
     def test_reopen_with_mismatched_shard_count_fails(self, tmp_path):
         fed = FederatedRepository.open(tmp_path / "fed", shards=3)

@@ -1,6 +1,6 @@
 """Unit coverage of the one batch executor and the contract every front
 inherits from it: caller positions, caller order, per-item locking,
-inline vs pooled shards, and the commit scope."""
+shards run inline on the calling thread, and the commit scope."""
 
 import sys
 import threading
@@ -13,7 +13,9 @@ from repro.core.system import Expelliarmus
 from repro.errors import PublishError, ReproError
 from repro.repository.federation import FederatedRepository
 from repro.repository.locking import RepositoryLock
-from repro.service.executor import Job, Progress, route, run_batch, run_shards
+from repro.service.executor import Job, Progress, route, run_batch
+from repro.service.parallel import plan_shards
+from repro.service.retrieval import resolve_request
 
 #: every batch front: (label, system factory, batch keyword arguments)
 FRONTS = [
@@ -191,11 +193,13 @@ class TestRunBatch:
         assert repo.scopes == 1
         assert [a.n_items for a in accounts] == [2, 0]
 
-    def test_shards_sharing_a_repository_commit_per_write(self):
+    def test_shards_sharing_a_repository_commit_once_per_busy_shard(self):
         repo = _Repo()
-        results, _, _ = _run([[(0, "a")], [(1, "b")]], _job([repo, repo]))
-        assert repo.scopes == 0
-        assert threading.get_ident() not in {r.thread for r in results}
+        results, _, _ = _run(
+            [[(0, "a")], [(1, "b"), (2, "c")], []], _job([repo, repo, repo])
+        )
+        assert repo.scopes == 2
+        assert {r.thread for r in results} == {threading.get_ident()}
 
     def test_shards_on_their_own_repositories_commit_once_each(self):
         repos = [_Repo(), _Repo()]
@@ -229,6 +233,22 @@ class TestRunBatch:
             [[(0, "b"), (1, "a"), (2, "b")]], _job([repo]), key=lambda p: p
         )
         assert [r.position for r in executed] == [1, 0, 2]
+
+    def test_raise_policy_stops_before_later_items_and_shards(self):
+        repo = _Repo()
+        inner = _job([repo, repo], failing={"b"})
+        ran = []
+
+        def run(shard, position, payload):
+            ran.append(payload)
+            return inner.run(shard, position, payload)
+
+        with pytest.raises(PublishError):
+            _run(
+                [[(0, "a"), (1, "b"), (2, "c")], [(3, "d")]],
+                inner._replace(run=run), on_error="raise",
+            )
+        assert ran == ["a", "b"]
 
     def test_raise_policy_propagates_the_item_error(self):
         repo = _Repo()
@@ -268,6 +288,56 @@ class TestRunBatch:
         assert [r.position for r in results] == list(range(400))
 
 
+class TestModelledParallelism:
+    """``parallelism=N`` means N modelled workers: every item runs on
+    the calling thread, and the report still accounts N shards."""
+
+    @staticmethod
+    def _assert_accounts(report, shards):
+        """One account per planned shard, each the sum of its items'
+        own charged seconds; the critical path is the slowest."""
+        expected = [
+            sum(report.results[position].report.breakdown.total
+                for position, _ in shard)
+            for shard in shards
+        ]
+        assert len(report.shards) == len(shards)
+        assert [a.n_items for a in report.shards] == [len(s) for s in shards]
+        assert [a.simulated_seconds for a in report.shards] == pytest.approx(
+            expected
+        )
+        assert report.critical_path_seconds == pytest.approx(max(expected))
+        assert report.simulated_seconds == pytest.approx(sum(expected))
+
+    def test_parallel_batches_run_on_the_calling_thread(self, reversed_vmis):
+        system = Expelliarmus()
+        threads = []
+        publish, assemble = system.publisher.publish, system.planner.assemble
+
+        def on_publish(vmi):
+            threads.append(threading.get_ident())
+            return publish(vmi)
+
+        def on_assemble(request):
+            threads.append(threading.get_ident())
+            return assemble(request)
+
+        system.publisher.publish = on_publish
+        system.planner.assemble = on_assemble
+        names = [v.name for v in reversed_vmis]
+        published = system.publish_many(reversed_vmis, parallelism=4)
+        retrieved = system.retrieve_many(names, parallelism=4)
+        assert threads == [threading.get_ident()] * 48
+        self._assert_accounts(published, plan_shards(
+            list(enumerate(reversed_vmis)), 4,
+            lambda pv: pv[1].base.attrs.key(),
+        ))
+        requests = [resolve_request(system.repo, name) for name in names]
+        self._assert_accounts(retrieved, plan_shards(
+            list(enumerate(requests)), 4, lambda pr: pr[1].base_key
+        ))
+
+
 class TestRoute:
     def test_places_items_and_records_failures(self):
         seen = []
@@ -299,17 +369,3 @@ class TestRoute:
                 on_error="raise", progress=Progress(None, 1),
             )
 
-
-class TestRunShards:
-    def test_first_shard_error_is_reraised_after_all_stop(self):
-        finished = []
-
-        def run_shard(index, shard):
-            if index == 0:
-                raise PublishError("boom")
-            finished.append(index)
-            return index
-
-        with pytest.raises(PublishError):
-            run_shards([[1], [2], [3]], run_shard)
-        assert sorted(finished) == [1, 2]
