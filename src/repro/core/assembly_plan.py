@@ -400,7 +400,7 @@ class AssemblyPlanner:
             for pkg in gi_ps.packages()
             if pkg.name not in base_names
         )
-        closure = tuple(gi_ps.nx_graph)
+        closure = gi_ps.node_keys()
         plan = AssemblyPlan(
             base_key=request.base_key,
             base_bytes=self.repo.base_image_size(request.base_key),

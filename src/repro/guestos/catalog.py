@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import DependencyError, UnknownPackageError
+from repro.model.graph import strongly_connected_components
 from repro.model.package import DependencySpec, Package
 
 __all__ = ["Catalog", "InstallPlan", "PlanStep"]
@@ -210,19 +211,41 @@ def _dependency_order(
     (libc6 / dpkg / perl-base) cannot blow the recursion limit and their
     members stay consecutive in the plan.
     """
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(chosen)
-    for name, pkg in chosen.items():
-        for dep in pkg.dependency_names():
-            if dep in chosen:
-                g.add_edge(name, dep)
-    condensation = nx.condensation(g)
-    # condensation is a DAG; topological order gives dependents first,
-    # so reverse it to install dependencies first.
+    depends = {
+        name: [dep for dep in pkg.dependency_names() if dep in chosen]
+        for name, pkg in chosen.items()
+    }
+    components = strongly_connected_components(depends)
+    component_of = {
+        name: i for i, members in enumerate(components) for name in members
+    }
+    # The condensation is ordered generation by generation from the
+    # components nothing depends on (Kahn), then reversed.  Tarjan's
+    # emission order would also be a valid install order, but this is
+    # the order networkx's condensation gives, which stored install
+    # orders and the simulated import timings were recorded with (the
+    # graph oracle property suite pins the equality).
+    dependencies: list[dict[int, None]] = [{} for _ in components]
+    dependents = [0] * len(components)
+    for name, deps in depends.items():
+        source = component_of[name]
+        for dep in deps:
+            target = component_of[dep]
+            if target != source and target not in dependencies[source]:
+                dependencies[source][target] = None
+                dependents[target] += 1
+    generation = [i for i, n in enumerate(dependents) if n == 0]
+    ranked: list[int] = []
+    while generation:
+        ranked.extend(generation)
+        following = []
+        for source in generation:
+            for target in dependencies[source]:
+                dependents[target] -= 1
+                if dependents[target] == 0:
+                    following.append(target)
+        generation = following
     order: list[str] = []
-    for scc_id in reversed(list(nx.topological_sort(condensation))):
-        members = sorted(condensation.nodes[scc_id]["members"])
-        order.extend(members)
+    for i in reversed(ranked):
+        order.extend(sorted(components[i]))
     return order

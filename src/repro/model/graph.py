@@ -16,23 +16,29 @@ Three induced subgraphs matter to the algorithms:
 * ``GI[P]`` for a single primary ``P`` — ``P`` plus its closure, used when
   master graphs are merged (Algorithm 1 line 25, Algorithm 2 line 9).
 
-The class wraps :class:`networkx.DiGraph` so callers get the full graph
-toolbox (cycle detection, reachability) while the library controls node
-identity and payloads.
+The graph is two insertion-ordered dicts — package vertex key →
+(payload, role) and vertex key → ordered successor set — so every walk
+over it (closures, induced subgraphs, unions) follows discovery order
+and never string hashing.  Cycle detection and the catalog's install order share one
+iterative Tarjan pass, :func:`strongly_connected_components`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
 from repro.model.package import Package
 
-__all__ = ["NodeKind", "PackageRole", "SemanticGraph"]
+__all__ = [
+    "NodeKind",
+    "PackageRole",
+    "SemanticGraph",
+    "strongly_connected_components",
+]
 
 
 class NodeKind(enum.Enum):
@@ -70,6 +76,68 @@ def _pkg_key(pkg: Package) -> str:
     return key
 
 
+#: role precedence when a vertex is re-added: a package first seen as a
+#: dependency and later requested as primary keeps the stronger role
+_ROLE_RANK = {
+    PackageRole.DEPENDENCY: 0,
+    PackageRole.BASE_MEMBER: 1,
+    PackageRole.PRIMARY: 2,
+}
+
+
+def strongly_connected_components(
+    succ: Mapping[str, Iterable[str]],
+) -> list[list[str]]:
+    """Tarjan's strongly connected components, without recursion.
+
+    ``succ`` maps every vertex to its successors; each successor must
+    itself be a key.  Components come back in Tarjan's emission order:
+    a component precedes every component that can reach it, so listing
+    them in order puts dependencies before their dependents.  An
+    explicit work stack replaces recursion, so long dependency chains
+    cannot hit the interpreter's recursion limit.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                    break
+                if child in on_stack and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    component: list[str] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
 class SemanticGraph:
     """Directed, possibly cyclic VMI semantic graph.
 
@@ -79,8 +147,31 @@ class SemanticGraph:
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        #: package vertex → (payload, role), in insertion order
+        self._nodes: dict[str, tuple[Package, PackageRole]] = {}
+        #: every vertex (the base image too) → its successors, both in
+        #: insertion order; dict keys serve as ordered sets
+        self._succ: dict[str, dict[str, None]] = {}
         self._base_node: str | None = None
+        self._base_attrs: BaseImageAttrs | None = None
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # snapshots and op-logs written while this class wrapped a
+        # networkx.DiGraph pickle ``{"_g": DiGraph, "_base_node": ...}``;
+        # unpickling one needs networkx, converting it does not
+        legacy = state.pop("_g", None)
+        self.__dict__.update(state)
+        if legacy is None:
+            return
+        self._nodes = {}
+        self._succ = {}
+        self._base_attrs = None
+        for key, data in legacy._node.items():
+            self._succ[key] = dict.fromkeys(legacy._succ[key])
+            if data["kind"] is NodeKind.BASE_IMAGE:
+                self._base_attrs = data["attrs"]
+            else:
+                self._nodes[key] = (data["package"], data["role"])
 
     # ------------------------------------------------------------------
     # construction
@@ -98,8 +189,9 @@ class SemanticGraph:
                 f"graph already has base image {self._base_node!r}; "
                 f"cannot add {key!r}"
             )
-        self._g.add_node(key, kind=NodeKind.BASE_IMAGE, attrs=attrs)
+        self._succ.setdefault(key, {})
         self._base_node = key
+        self._base_attrs = attrs
         return key
 
     def add_package(self, pkg: Package, role: PackageRole) -> str:
@@ -110,52 +202,51 @@ class SemanticGraph:
         keeps the stronger classification.
         """
         key = _pkg_key(pkg)
-        if key in self._g:
-            existing = self._g.nodes[key]["role"]
-            if _role_rank(role) > _role_rank(existing):
-                self._g.nodes[key]["role"] = role
-        else:
-            self._g.add_node(key, kind=NodeKind.PACKAGE, package=pkg, role=role)
+        self._put(key, pkg, role)
         return key
+
+    def _put(self, key: str, pkg: Package, role: PackageRole) -> None:
+        vertex = self._nodes.get(key)
+        if vertex is None:
+            self._nodes[key] = (pkg, role)
+            self._succ[key] = {}
+        elif _ROLE_RANK[role] > _ROLE_RANK[vertex[1]]:
+            self._nodes[key] = (vertex[0], role)
 
     def add_dependency_edge(self, src_key: str, dst_key: str) -> None:
         """Record that ``src`` depends on ``dst`` (both must exist)."""
-        if src_key not in self._g or dst_key not in self._g:
+        if src_key not in self._succ or dst_key not in self._succ:
             raise GraphModelError(
                 f"dependency edge references unknown node(s): "
                 f"{src_key!r} -> {dst_key!r}"
             )
-        self._g.add_edge(src_key, dst_key)
+        self._succ[src_key][dst_key] = None
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
 
     @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._g
-
-    @property
     def base_attrs(self) -> BaseImageAttrs | None:
         """Attributes of the base-image vertex, if present."""
-        if self._base_node is None:
-            return None
-        attrs: BaseImageAttrs = self._g.nodes[self._base_node]["attrs"]
-        return attrs
+        return self._base_attrs
 
     @property
     def base_node(self) -> str | None:
         return self._base_node
 
     def __len__(self) -> int:
-        return int(self._g.number_of_nodes())
+        return len(self._succ)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._g
+        return key in self._succ
+
+    def node_keys(self) -> tuple[str, ...]:
+        """Every vertex key, in insertion order."""
+        return tuple(self._succ)
 
     def n_edges(self) -> int:
-        return int(self._g.number_of_edges())
+        return sum(len(out) for out in self._succ.values())
 
     def out_degree_sum(self, keys: Iterable[str]) -> int:
         """Total out-degree of the vertices ``keys`` (all must exist).
@@ -163,7 +254,7 @@ class SemanticGraph:
         Edges are never removed, so on a graph that only grows an
         unchanged sum means none of ``keys`` gained an out-edge.
         """
-        succ = self._g._succ
+        succ = self._succ
         return sum(len(succ[key]) for key in keys)
 
     def has_package(self, name: str) -> bool:
@@ -172,18 +263,16 @@ class SemanticGraph:
 
     def packages(self) -> Iterator[Package]:
         """All package payloads, in insertion order."""
-        for _, data in self._g.nodes(data=True):
-            if data["kind"] is NodeKind.PACKAGE:
-                yield data["package"]
+        for pkg, _ in self._nodes.values():
+            yield pkg
 
     def package_nodes(self) -> Iterator[tuple[str, Package, PackageRole]]:
         """(key, package, role) triples for every package vertex."""
-        for key, data in self._g.nodes(data=True):
-            if data["kind"] is NodeKind.PACKAGE:
-                yield key, data["package"], data["role"]
+        for key, (pkg, role) in self._nodes.items():
+            yield key, pkg, role
 
     def packages_with_role(self, role: PackageRole) -> list[Package]:
-        return [p for _, p, r in self.package_nodes() if r is role]
+        return [p for p, r in self._nodes.values() if r is role]
 
     def primary_packages(self) -> list[Package]:
         """The primary package set ``PS`` as payloads."""
@@ -205,7 +294,11 @@ class SemanticGraph:
 
     def has_cycle(self) -> bool:
         """Does the dependency relation contain a cycle (Figure 1a)?"""
-        return not nx.is_directed_acyclic_graph(self._g)
+        if any(key in out for key, out in self._succ.items()):
+            return True
+        return any(
+            len(c) > 1 for c in strongly_connected_components(self._succ)
+        )
 
     # ------------------------------------------------------------------
     # induced subgraphs (Section III-B / IV-C)
@@ -221,21 +314,22 @@ class SemanticGraph:
         it — and the install order retrieval derives from them — never
         depend on string hashing (``PYTHONHASHSEED``).
         """
+        succ = self._succ
         seen: dict[str, None] = {}
-        stack = [r for r in roots if r in self._g]
+        stack = [r for r in roots if r in succ]
         while stack:
             node = stack.pop()
             if node in seen or node == self._base_node:
                 continue
             seen[node] = None
-            stack.extend(self._g.successors(node))
+            stack.extend(succ[node])
         return seen
 
     def extract_primary_subgraph(self) -> "SemanticGraph":
         """``GI[PS]``: primaries plus their dependency closure."""
         roots = [
             key
-            for key, _, role in self.package_nodes()
+            for key, (_, role) in self._nodes.items()
             if role is PackageRole.PRIMARY
         ]
         return self._induced(self.dependency_closure(roots), with_base=False)
@@ -244,7 +338,7 @@ class SemanticGraph:
         """``GI[BI]``: the base vertex plus all BASE_MEMBER packages."""
         members = [
             key
-            for key, _, role in self.package_nodes()
+            for key, (_, role) in self._nodes.items()
             if role is PackageRole.BASE_MEMBER
         ]
         return self._induced(members, with_base=True)
@@ -281,27 +375,26 @@ class SemanticGraph:
         self, nodes: Iterable[str], *, with_base: bool
     ) -> "SemanticGraph":
         sub = SemanticGraph()
-        # ordered, like ``nodes``: edge insertion order fixes successor
-        # order, which later closures over the subgraph walk
-        keep = dict.fromkeys(nodes)
-        if with_base and self._base_node is not None:
-            sub.add_base_image(self._g.nodes[self._base_node]["attrs"])
-            keep[self._base_node] = None
-        for key in keep:
-            data = self._g.nodes[key]
-            if data["kind"] is NodeKind.PACKAGE:
-                sub.add_package(data["package"], data["role"])
-        # walk only the kept nodes' incident edges instead of every edge
+        if with_base and self._base_attrs is not None:
+            sub.add_base_image(self._base_attrs)
+        # vertices in the order of ``nodes``: edge insertion order fixes
+        # successor order, which later closures over the subgraph walk
+        mine = self._nodes
+        sub_nodes = sub._nodes
+        sub_succ = sub._succ
+        for key in nodes:
+            vertex = mine.get(key)
+            if vertex is not None and key not in sub_nodes:
+                sub_nodes[key] = vertex
+                sub_succ[key] = {}
+        # walk only the kept vertices' out-edges instead of every edge
         # of the host graph: extraction from a large master graph is
         # O(edges touching the closure), not O(all master edges)
-        adj = self._g.adj
-        sub_g = sub._g
-        for u in keep:
-            if u not in sub_g:
-                continue
-            for v in adj[u]:
-                if v in keep and v in sub_g:
-                    sub_g.add_edge(u, v)
+        succ = self._succ
+        for u, out in sub_succ.items():
+            for v in succ[u]:
+                if v in sub_succ:
+                    out[v] = None
         return sub
 
     # ------------------------------------------------------------------
@@ -325,33 +418,27 @@ class SemanticGraph:
                 "cannot union graphs with different base images: "
                 f"{self._base_node!r} vs {other._base_node!r}"
             )
-        if other._base_node is not None and self._base_node is None:
-            self.add_base_image(other._g.nodes[other._base_node]["attrs"])
-        for _key, data in other._g.nodes(data=True):
-            if data["kind"] is NodeKind.PACKAGE:
-                self.add_package(data["package"], data["role"])
-        for u, v in other._g.edges():
-            if u in self._g and v in self._g:
-                self._g.add_edge(u, v)
+        if other._base_attrs is not None and self._base_node is None:
+            self.add_base_image(other._base_attrs)
+        for key, (pkg, role) in other._nodes.items():
+            self._put(key, pkg, role)
+        succ = self._succ
+        for u, theirs in other._succ.items():
+            out = succ[u]
+            for v in theirs:
+                out[v] = None
 
     def copy(self) -> "SemanticGraph":
         """Deep-enough copy (payloads are immutable)."""
         dup = SemanticGraph()
-        dup._g = self._g.copy()
+        dup._nodes = dict(self._nodes)
+        dup._succ = {key: dict(out) for key, out in self._succ.items()}
         dup._base_node = self._base_node
+        dup._base_attrs = self._base_attrs
         return dup
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        n_pkg = sum(1 for _ in self.packages())
         return (
-            f"<SemanticGraph base={self.base_attrs} packages={n_pkg} "
-            f"edges={self.n_edges()}>"
+            f"<SemanticGraph base={self.base_attrs} "
+            f"packages={len(self._nodes)} edges={self.n_edges()}>"
         )
-
-
-def _role_rank(role: PackageRole) -> int:
-    return {
-        PackageRole.DEPENDENCY: 0,
-        PackageRole.BASE_MEMBER: 1,
-        PackageRole.PRIMARY: 2,
-    }[role]

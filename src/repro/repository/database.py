@@ -3,8 +3,9 @@
 The paper keeps VMI metadata in SQLite (Section VI-A).  The schema below
 mirrors Figure 2's "VMI DATABASE" boxes — base images, VMIs and software
 packages — plus the join table mapping a published VMI to its primary
-packages.  The semantic graphs themselves live in memory (networkx); the
-database is the durable index the algorithms query by name.
+packages.  The semantic graphs themselves live in memory
+(:class:`~repro.model.graph.SemanticGraph`); the database is the durable
+index the algorithms query by name.
 """
 
 from __future__ import annotations

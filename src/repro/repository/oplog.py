@@ -43,9 +43,43 @@ from repro.errors import WorkspaceError
 from repro.repository.master_graphs import master_from_state
 from repro.repository.repo import Repository
 
-__all__ = ["OpLog", "OpLogRecord", "ReplayReport", "replay_ops"]
+__all__ = [
+    "OpLog",
+    "OpLogRecord",
+    "ReplayReport",
+    "UNLOADABLE",
+    "replay_ops",
+    "unloadable_error",
+]
 
 _OPLOG_VERSION = 1
+
+#: what unpickling a *complete* record raises when it names a module or
+#: class this process cannot import.  Pickle's length-prefixed strings
+#: make a torn record fail with ``EOFError``/``UnpicklingError`` instead,
+#: so these are never mistaken for a torn tail.
+UNLOADABLE = (ImportError, AttributeError)
+
+
+def unloadable_error(where: object, exc: BaseException) -> WorkspaceError:
+    """The error for a stored record naming a class this process lacks.
+
+    Loading must stop there and leave the files as they are: a record
+    that cannot be read now may be readable by a process that has the
+    class, so it is neither torn nor disposable.
+    """
+    hint = ""
+    if isinstance(exc, ImportError) and (exc.name or "").startswith(
+        "networkx"
+    ):
+        hint = (
+            "; it was written while semantic graphs wrapped networkx:"
+            " install networkx to open it once, and its next"
+            " checkpoint rewrites it without"
+        )
+    return WorkspaceError(
+        f"{where} holds a record this process cannot load ({exc}){hint}"
+    )
 
 #: the primitives the replayer understands — exactly the journaled
 #: surface of :class:`~repro.repository.repo.Repository`
@@ -203,7 +237,9 @@ class OpLog:
         """Scan a log: header + complete records + torn-tail size.
 
         Raises:
-            WorkspaceError: unreadable or version-mismatched header.
+            WorkspaceError: unreadable or version-mismatched header, or
+                a complete record naming a class this process cannot
+                import (see :func:`unloadable_error`).
             FileNotFoundError: missing log file.
         """
         with open(path, "rb") as file:
@@ -216,6 +252,12 @@ class OpLog:
                     op, args = pickle.load(file)
                 except EOFError:
                     break
+                except UNLOADABLE as exc:
+                    # a complete record: truncating here would drop it
+                    # and every record after it
+                    raise unloadable_error(
+                        f"op-log {path} (record {len(ops) + 1})", exc
+                    ) from exc
                 except Exception:
                     # torn tail: a crash interrupted the last append —
                     # everything before it is intact and replayable

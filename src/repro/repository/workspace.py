@@ -47,7 +47,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.errors import WorkspaceError, WorkspaceLockedError
-from repro.repository.oplog import OpLog, replay_ops
+from repro.repository.oplog import (
+    UNLOADABLE,
+    OpLog,
+    replay_ops,
+    unloadable_error,
+)
 from repro.repository.persistence import restore_into, save_repository
 from repro.repository.repo import Repository
 
@@ -212,7 +217,12 @@ class Workspace:
         """The snapshot-restore + replay body; lock already held."""
         repo = Repository()
         if self.snapshot_path.exists():
-            state = pickle.loads(self.snapshot_path.read_bytes())
+            try:
+                state = pickle.loads(self.snapshot_path.read_bytes())
+            except UNLOADABLE as exc:
+                raise unloadable_error(
+                    f"snapshot {self.snapshot_path}", exc
+                ) from exc
             try:
                 restore_into(repo, state)
             except ValueError as exc:

@@ -1,10 +1,12 @@
 """Unit tests for the SemanticGraph."""
 
+import pickle
+
 import pytest
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
-from repro.model.graph import PackageRole, SemanticGraph
+from repro.model.graph import NodeKind, PackageRole, SemanticGraph
 from repro.model.package import make_package
 
 ATTRS = BaseImageAttrs("linux", "ubuntu", "16.04", "amd64")
@@ -53,10 +55,10 @@ class TestConstruction:
         pkg = make_package("x", "1.0", installed_size=1)
         key = g.add_package(pkg, PackageRole.DEPENDENCY)
         g.add_package(pkg, PackageRole.PRIMARY)
-        assert g.nx_graph.nodes[key]["role"] is PackageRole.PRIMARY
+        assert list(g.package_nodes()) == [(key, pkg, PackageRole.PRIMARY)]
         # weakening is ignored
         g.add_package(pkg, PackageRole.DEPENDENCY)
-        assert g.nx_graph.nodes[key]["role"] is PackageRole.PRIMARY
+        assert list(g.package_nodes()) == [(key, pkg, PackageRole.PRIMARY)]
 
     def test_edge_requires_known_nodes(self):
         g = SemanticGraph()
@@ -174,3 +176,38 @@ class TestUnion:
         dup.add_package(make_package("new", "1.0"), PackageRole.PRIMARY)
         assert not g.has_package("new")
         assert dup.has_package("new")
+
+
+class TestPickle:
+    def test_round_trip_keeps_vertices_edges_and_order(self):
+        g = build_sample()
+        back = pickle.loads(pickle.dumps(g))
+        assert back.node_keys() == g.node_keys()
+        assert list(back.package_nodes()) == list(g.package_nodes())
+        assert back.base_attrs == ATTRS
+        assert back.n_edges() == g.n_edges()
+        app = g.node_keys()[-1]
+        assert list(back.dependency_closure([app])) == list(
+            g.dependency_closure([app])
+        )
+
+    def test_legacy_networkx_state_converts(self):
+        # the pickled layout from when the class wrapped a DiGraph
+        nx = pytest.importorskip("networkx")
+        g = build_sample()
+        base, libc, lib, app = g.node_keys()
+        legacy = nx.DiGraph()
+        legacy.add_node(base, kind=NodeKind.BASE_IMAGE, attrs=ATTRS)
+        for key, pkg, role in g.package_nodes():
+            legacy.add_node(key, kind=NodeKind.PACKAGE, package=pkg, role=role)
+        legacy.add_edge(app, lib)
+        legacy.add_edge(lib, libc)
+        # what unpickling does with a legacy graph's state
+        converted = SemanticGraph.__new__(SemanticGraph)
+        converted.__setstate__({"_g": legacy, "_base_node": base})
+        assert converted.node_keys() == g.node_keys()
+        assert list(converted.package_nodes()) == list(g.package_nodes())
+        assert converted.base_attrs == ATTRS
+        assert converted.n_edges() == 2
+        assert list(converted.dependency_closure([app])) == [app, lib, libc]
+
