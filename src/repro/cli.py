@@ -48,20 +48,28 @@ and their corpus/churn flags are ignored).
 
 **Remote mode.**  ``--remote HOST:PORT`` points a repository
 subcommand at a running ``expelliarmus serve`` daemon instead of a
-local store: the same publish / retrieve-many / delete / gc / fsck /
-stats / snapshot verbs travel over the image-service protocol, inside
-the namespace of ``--tenant`` (default ``default``).  VMIs are named
-by corpus reference (the server builds them), admission rejections and
-quota errors come back as machine-readable codes, and ``shutdown``
-drains the daemon gracefully.  ``--remote`` excludes ``--workspace``
-and the local-only execution flags (``--parallel``, ``--cold``,
-``--scan``) — the server owns those decisions.
+local store: the same publish / publish-many / retrieve-many / delete
+/ gc / fsck / stats / snapshot verbs travel over the image-service
+protocol, inside the namespace of ``--tenant`` (default ``default``).
+Each verb is one ``_cmd_*`` function for both modes: the corpus flags
+select one ``(source, items)`` reference that a local run builds and a
+remote run ships (the server builds the images), and a local report
+and a remote reply print through the same printer.  Admission
+rejections and quota errors come back as machine-readable codes, and
+``shutdown`` drains the daemon gracefully.  One rule guards against
+silently ignored flags: ``--remote`` excludes ``--workspace``, and any
+argument set away from its default that the remote verb does not send
+(``--parallel``, ``--order``, ``--churn``, ``--checkpoint-every``, a
+corpus flag of a verb that ships none, ...) exits 2 as a
+local-execution flag — the server owns those decisions.  ``mine``,
+``rebase``, ``compact`` and ``serve`` run locally only.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from repro.experiments.runner import ALL_EXPERIMENTS
@@ -132,8 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard-count for a federated store (same as the global flag)",
     )
 
-    #: the remote-mode flags after the subcommand, same SUPPRESS trick
+    #: the remote-mode flags after the subcommand, same SUPPRESS trick;
+    #: a verb runs remotely iff its parser takes them
     remote_flags = argparse.ArgumentParser(add_help=False)
+    remote_flags.set_defaults(remote_verb=True)
     remote_flags.add_argument(
         "--remote",
         metavar="HOST:PORT",
@@ -373,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = sub.add_parser(
         "mine",
         help="propose mergeable base-image sets (read-only analysis)",
-        parents=[corpus_flags, workspace_flags, remote_flags],
+        parents=[corpus_flags, workspace_flags],
     )
     mine.add_argument(
         "--keep-legacy",
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
             "mine and apply base merges as a journaled, "
             "crash-recoverable maintenance operation"
         ),
-        parents=[corpus_flags, workspace_flags, remote_flags],
+        parents=[corpus_flags, workspace_flags],
     )
     rebase.add_argument(
         "--keep-legacy",
@@ -508,12 +518,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_experiments(ids: Sequence[str], figures: bool = False) -> int:
-    chosen = list(ids) or list(ALL_EXPERIMENTS)
-    for key in chosen:
+class _CommandError(Exception):
+    """An operator error: one line on stderr, then exit ``code`` (2 for
+    bad arguments, 1 for a failed operation) — never a traceback."""
+
+    def __init__(
+        self, message: str, code: int = 2, label: str = "error"
+    ) -> None:
+        super().__init__(message)
+        self.code = code
+        self.label = label
+
+
+def _positive(value, flag: str) -> None:
+    if value is not None and value < 1:
+        raise _CommandError(f"{flag} must be positive")
+
+
+def _cmd_experiments(args) -> int:
+    for key in args.ids or ALL_EXPERIMENTS:
         result = ALL_EXPERIMENTS[key]()
         print(result.render())
-        if figures and result.series:
+        if args.figures and result.series:
             print()
             print(result.render_figure())
         print()
@@ -534,8 +560,8 @@ def _make_system(args, **kwargs):
 
     from repro.core.system import Expelliarmus
 
-    path = getattr(args, "workspace", None)
-    shards = getattr(args, "shards", None)
+    path = args.workspace
+    shards = args.shards
     if shards is None and path is not None:
         from repro.repository.federation import MANIFEST_NAME
 
@@ -553,254 +579,88 @@ def _make_system(args, **kwargs):
     return Expelliarmus.open(path, **kwargs)
 
 
-def _finish(system, args) -> None:
-    """Honour the checkpoint policy, then detach from the workspace."""
-    if system.workspace is not None:
-        system.checkpoint_if_due(getattr(args, "checkpoint_every", None))
-        system.close()
-
-
-def _cmd_publish(args) -> int:
-    from repro.errors import ReproError
-    from repro.workloads.generator import standard_corpus
-
-    corpus = standard_corpus()
-    system = _make_system(args)
+@contextmanager
+def _session(args, **kwargs):
+    """The verb's system (:func:`_make_system`); on leaving, the
+    checkpoint policy runs and the workspace is released."""
+    system = _make_system(args, **kwargs)
     try:
-        for name in args.names:
-            try:
-                report = system.publish(corpus.build(name))
-            except ReproError as exc:
-                print(f"error: {name}: {exc}", file=sys.stderr)
-                return 1
-            print(
-                f"{name}: published in "
-                f"{fmt_seconds(report.publish_time)}, "
-                f"similarity {report.similarity:.2f}, "
-                f"exported {len(report.exported_packages)} packages, "
-                f"deduplicated {len(report.deduplicated_packages)}, "
-                f"repository now {fmt_gb(system.repository_size)}"
-            )
-        return 0
+        yield system
     finally:
-        _finish(system, args)
+        if system.workspace is not None:
+            system.checkpoint_if_due(getattr(args, "checkpoint_every", None))
+            system.close()
 
 
-def _resolve_corpus(args):
-    """The VMIs the shared corpus flags select, or an exit code.
-
-    ``--scale N`` builds an N-VMI generated corpus; otherwise the named
-    (default: all) Table II images.  Errors print to stderr and return
-    ``2``, the bad-arguments exit code.
-    """
-    from repro.workloads.generator import scale_corpus, standard_corpus
-    from repro.workloads.vmi_specs import TABLE_II_ORDER
-
-    if args.scale is not None:
-        overrides = {}
-        if getattr(args, "split_pct", 0):
-            # the split regime needs the fat flavour off: a fat base
-            # conflicts with neither generation and would absorb both
-            overrides = {
-                "split_base_pct": args.split_pct,
-                "fat_base_pct": 0,
-            }
-        try:
-            corpus = scale_corpus(
-                args.scale,
-                n_families=args.families,
-                seed=args.seed,
-                **overrides,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return list(corpus.build_all())
-    table_corpus = standard_corpus()
-    names = args.names or list(TABLE_II_ORDER)
-    unknown = [n for n in names if n not in TABLE_II_ORDER]
-    if unknown:
-        print(
-            f"error: unknown corpus image(s): {', '.join(unknown)} "
-            f"(see 'expelliarmus corpus')",
-            file=sys.stderr,
-        )
-        return 2
-    return [table_corpus.build(name) for name in names]
+def _require_workspace(args) -> None:
+    if args.workspace is None:
+        raise _CommandError(f"{args.command} requires --workspace")
 
 
-def _cmd_publish_many(args) -> int:
-    if args.parallel is not None and args.parallel < 1:
-        print("error: --parallel must be positive", file=sys.stderr)
-        return 2
-    vmis = _resolve_corpus(args)
-    if isinstance(vmis, int):
-        return vmis
+# ---------------------------------------------------------------------------
+# corpus selection: one (source, items) reference, local or remote
+# ---------------------------------------------------------------------------
 
-    system = _make_system(args, indexed_selection=not args.scan)
 
-    def echo_progress(done, total, item):
-        status = (
-            f"{item.report.publish_time:7.2f}s"
-            if item.ok
-            else f"FAILED ({item.error})"
-        )
-        print(f"[{done:>4}/{total}] {item.name:<16} {status}")
+def _corpus_reference(args) -> tuple[dict, list]:
+    """The ``(source, items)`` reference the corpus flags select: what
+    a remote publish ships, and what a local command builds.  Verbs
+    without the corpus flags (``publish``, ``stats``) name Table II
+    images."""
+    from repro.errors import ProtocolError
+    from repro.service.protocol import select_corpus
 
     try:
-        report = system.publish_many(
-            vmis,
-            order=args.order,
-            progress=echo_progress if args.progress else None,
-            parallelism=args.parallel,
+        if getattr(args, "scale", None) is None:
+            return select_corpus(args.names)
+        return select_corpus(
+            args.names,
+            args.scale,
+            n_families=args.families,
+            seed=args.seed,
+            split_pct=args.split_pct,
         )
-        print(report.render())
-        return 1 if report.n_failed else 0
-    finally:
-        _finish(system, args)
+    except ProtocolError as exc:
+        raise _CommandError(str(exc)) from exc
 
 
-def _cmd_retrieve_many(args) -> int:
-    if args.repeat < 1:
-        print("error: --repeat must be positive", file=sys.stderr)
-        return 2
-    if args.parallel is not None and args.parallel < 1:
-        print("error: --parallel must be positive", file=sys.stderr)
-        return 2
-    if args.cold and args.parallel is not None:
-        print(
-            "error: --cold is the sequential cache-less reference; "
-            "drop --parallel",
-            file=sys.stderr,
-        )
-        return 2
+def _corpus_vmis(args) -> list:
+    """Build the VMIs the corpus flags select, in this process."""
+    from repro.service.protocol import build_item, open_corpus, source_config
 
-    if getattr(args, "workspace", None) is not None:
-        # retrieve what the workspace already holds — published by an
-        # earlier invocation, possibly by another process
-        system = _make_system(args)
-        published = system.published_names()
-        if args.names:
-            unknown = [n for n in args.names if n not in published]
-            if unknown:
-                print(
-                    f"error: not published in this workspace: "
-                    f"{', '.join(unknown)}",
-                    file=sys.stderr,
+    source, items = _corpus_reference(args)
+    corpus = open_corpus(source_config(source))
+    return [build_item(corpus, item) for item in items]
+
+
+@contextmanager
+def _local_system(args):
+    """The system a local verb runs on, the names it holds, and a
+    phrase saying what it holds: the ``--workspace`` store exactly as
+    earlier invocations left it, or else the selected corpus, freshly
+    published into a throwaway store."""
+    with _session(args) as system:
+        held = "workspace holds"
+        if args.workspace is None:
+            published = system.publish_many(_corpus_vmis(args))
+            if published.n_failed:
+                raise _CommandError(
+                    "the corpus did not publish cleanly\n"
+                    f"{published.render()}",
+                    1,
                 )
-                _finish(system, args)
-                return 2
-            targets = list(args.names)
-        else:
-            targets = published
-        if not targets:
-            print(
-                "error: workspace holds no published VMIs",
-                file=sys.stderr,
-            )
-            _finish(system, args)
-            return 2
-        print(
-            f"workspace holds {len(published)} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); retrieving "
-            f"{len(targets)} x{args.repeat}"
+            held = "published"
+        names = system.published_names()
+        yield system, names, (
+            f"{held} {len(names)} VMIs "
+            f"({system.repository_size / 1e9:.3f} GB)"
         )
-        requests = [n for _ in range(args.repeat) for n in targets]
-    else:
-        vmis = _resolve_corpus(args)
-        if isinstance(vmis, int):
-            return vmis
-        system = _make_system(args)
-        published = system.publish_many(vmis)
-        if published.n_failed:
-            print(published.render(), file=sys.stderr)
-            return 1
-        print(
-            f"published {published.n_published} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); retrieving "
-            f"x{args.repeat}"
-        )
-        requests = [
-            r.name
-            for _ in range(args.repeat)
-            for r in system.repo.vmi_records()
-        ]
-
-    try:
-        return _run_retrieval(system, requests, args)
-    finally:
-        _finish(system, args)
 
 
-def _run_retrieval(system, requests, args) -> int:
-    """The shared retrieval body: cold sequential or warm batch."""
-    if args.cold:
-        from repro.errors import ReproError
-        from repro.service.retrieval import components_line
-        from repro.sim.clock import TimeBreakdown
-
-        total = TimeBreakdown()
-        failed = 0
-        for done, name in enumerate(requests, start=1):
-            try:
-                report = system.retrieve(name)
-            except ReproError as exc:
-                failed += 1
-                if args.progress:
-                    print(
-                        f"[{done:>4}/{len(requests)}] {name:<16} "
-                        f"FAILED ({exc})"
-                    )
-                continue
-            total = total.merged(report.breakdown)
-            if args.progress:
-                print(
-                    f"[{done:>4}/{len(requests)}] {name:<16} "
-                    f"{report.retrieval_time:7.2f}s"
-                )
-        print(
-            f"retrieved {len(requests) - failed}/{len(requests)} VMIs "
-            f"in {total.total:.1f} simulated s (cold, sequential)"
-        )
-        print(f"  components: {components_line(total)}")
-        return 1 if failed else 0
-
-    def echo_progress(done, total, item):
-        status = (
-            f"{item.report.retrieval_time:7.2f}s"
-            f"{' warm' if item.warm_base else ''}"
-            f"{' plan-hit' if item.plan_hit else ''}"
-            if item.ok
-            else f"FAILED ({item.error})"
-        )
-        print(f"[{done:>4}/{total}] {item.name:<16} {status}")
-
-    report = system.retrieve_many(
-        requests,
-        order=args.order,
-        progress=echo_progress if args.progress else None,
-        parallelism=args.parallel,
-    )
-    print(report.render())
-    return 1 if report.n_failed else 0
-
-
-def _published_system(args):
-    """Publish the selected corpus into a fresh system.
-
-    Returns ``(system, published names)`` or an exit code on failure.
-    """
-    from repro.core.system import Expelliarmus
-
-    vmis = _resolve_corpus(args)
-    if isinstance(vmis, int):
-        return vmis
-    system = Expelliarmus()
-    published = system.publish_many(vmis)
-    if published.n_failed:
-        print(published.render(), file=sys.stderr)
-        return 1
-    return system, system.published_names()
+def _check_churn(args, *, allow_zero: bool = False) -> None:
+    if not (0 if allow_zero else 1) <= args.churn <= 100:
+        interval = "[0, 100]" if allow_zero else "(0, 100]"
+        raise _CommandError(f"--churn must be in {interval}")
 
 
 def _churn_victims(names, pct: int, seed: str) -> list[str]:
@@ -816,245 +676,468 @@ def _churn_victims(names, pct: int, seed: str) -> list[str]:
     return sorted(ranked[:quota])
 
 
-def _cmd_delete(args) -> int:
-    if getattr(args, "workspace", None) is not None:
-        system = _make_system(args)
-        names = system.published_names()
-        if args.legacy:
-            victims = _legacy_victims(args)
-            if isinstance(victims, int):
-                _finish(system, args)
-                return victims
-        elif args.names:
-            # explicit victims; unknown names surface as per-item
-            # failures through the pipeline's isolation
-            victims = list(args.names)
-        else:
-            if not 0 < args.churn <= 100:
-                print(
-                    "error: --churn must be in (0, 100]",
-                    file=sys.stderr,
-                )
-                _finish(system, args)
-                return 2
-            victims = _churn_victims(names, args.churn, args.seed)
-        print(
-            f"workspace holds {len(names)} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); deleting "
-            f"{len(victims)}"
-        )
-    else:
-        if not 0 < args.churn <= 100:
-            print("error: --churn must be in (0, 100]", file=sys.stderr)
-            return 2
-        prepared = _published_system(args)
-        if isinstance(prepared, int):
-            return prepared
-        system, names = prepared
-        if args.legacy:
-            victims = _legacy_victims(args)
-            if isinstance(victims, int):
-                _finish(system, args)
-                return victims
-        else:
-            victims = _churn_victims(names, args.churn, args.seed)
-        print(
-            f"published {len(names)} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); deleting "
-            f"{len(victims)}"
-        )
+def _legacy_victims(args) -> list[str]:
+    """The split regime's version-pinned legacy builds."""
+    from repro.service.protocol import open_corpus, source_config
 
-    def echo_progress(done, total, item):
-        status = "deleted" if item.ok else f"FAILED ({item.error})"
-        print(f"[{done:>4}/{total}] {item.name:<16} {status}")
+    if args.scale is None or not args.split_pct:
+        raise _CommandError(
+            "--legacy selects the generated corpus's version-pinned "
+            "builds; it needs --scale and --split-pct"
+        )
+    source, _ = _corpus_reference(args)
+    return list(open_corpus(source_config(source)).legacy_names())
 
-    threshold = (
-        int(args.gc_threshold_gb * 1e9)
-        if args.gc_threshold_gb is not None
-        else None
+
+# ---------------------------------------------------------------------------
+# remote mode: the same verbs against a running daemon
+# ---------------------------------------------------------------------------
+
+
+def _unsent_arg(args, sent) -> str | None:
+    """The first argument set away from its parser default that the
+    remote verb does not send, or None."""
+    argv = [args.command, *(args.names if "names" in sent else ())]
+    defaults = vars(build_parser().parse_args(argv))
+    for dest, value in vars(args).items():
+        if dest not in sent and value != defaults[dest]:
+            return dest
+    return None
+
+
+@contextmanager
+def _remote(args, *sent):
+    """A client connected to ``--remote`` for a verb that sends the
+    arguments ``sent``.
+
+    ``--workspace``, and any argument set away from its default that
+    the verb does not send, exit 2: the server owns those decisions.
+    Typed service errors exit 1 as ``error [code]: message``.
+    """
+    from repro.errors import ReproError
+    from repro.service.client import RemoteClient
+
+    if args.workspace is not None:
+        raise _CommandError(
+            "--remote and --workspace are exclusive (the daemon owns "
+            "the store)"
+        )
+    unsent = _unsent_arg(
+        args, {"command", "remote", "tenant", "workspace", *sent}
     )
+    if unsent == "names":
+        raise _CommandError(f"remote {args.command} takes no image names")
+    if unsent is not None:
+        raise _CommandError(
+            f"--{unsent.replace('_', '-')} is a local-execution flag; "
+            f"remote {args.command} does not send it — the server "
+            "decides its own execution strategy"
+        )
     try:
-        report = system.delete_many(
-            victims,
-            progress=echo_progress if args.progress else None,
-            gc_threshold_bytes=threshold,
-            checkpoint_every_ops=getattr(args, "checkpoint_every", None),
+        client = RemoteClient.connect(args.remote, tenant=args.tenant)
+    except (OSError, ReproError) as exc:
+        raise _CommandError(
+            f"cannot reach image server at {args.remote!r}: {exc}", 1
+        ) from exc
+    try:
+        with client:
+            yield client
+    except ReproError as exc:
+        code = getattr(exc, "code", None)
+        label = f"error [{code}]" if code else "error"
+        raise _CommandError(str(exc), 1, label) from exc
+    except OSError as exc:
+        raise _CommandError(
+            f"connection to {args.remote} failed: {exc}", 1
+        ) from exc
+
+
+# ---------------------------------------------------------------------------
+# printers: one per result, local or remote
+# ---------------------------------------------------------------------------
+
+
+def _print_item(done, total, name, seconds=None, note="", *, error=None):
+    """One batch item's row, for every batch verb, local or remote: a
+    progress line, or a failure on stderr."""
+    if error is not None:
+        print(
+            f"[{done:>4}/{total}] {name!s:<16} FAILED ({error})",
+            file=sys.stderr,
         )
-        print(report.render())
-        return 1 if report.n_failed else 0
-    finally:
-        _finish(system, args)
+        return
+    timing = "" if seconds is None else f"{seconds:7.2f}s"
+    print(f"[{done:>4}/{total}] {name!s:<16} {timing}{note}")
 
 
-def _print_gc_report(report) -> None:
-    print(
-        f"gc ({report.mode}): reclaimed "
-        f"{report.reclaimed_bytes / 1e9:.3f} GB — "
-        f"{report.removed_packages} packages, "
-        f"{report.removed_user_data} user data, "
-        f"{report.removed_bases} bases"
-    )
-    print(
-        f"  work: {report.graph_rebuilds} master graphs rebuilt, "
-        f"{report.records_scanned} records scanned, "
-        f"{report.gc_seconds:.2f} simulated s"
-    )
+def _echo(args, status):
+    """A local pipeline's progress callback (None without
+    ``--progress``); ``status(item)`` gives a finished item's
+    ``(seconds, note)``."""
+    if not args.progress:
+        return None
+
+    def echo(done, total, item):
+        if item.ok:
+            _print_item(done, total, item.name, *status(item))
+        else:
+            _print_item(done, total, item.name, error=item.error)
+
+    return echo
 
 
-def _cmd_gc(args) -> int:
-    if getattr(args, "workspace", None) is not None:
-        # collect the workspace's pending garbage — churned by earlier
-        # delete invocations, possibly in other processes
-        system = _make_system(args)
-        try:
-            reclaimable = system.repo.reclaimable_bytes()
-            print(
-                f"workspace holds "
-                f"{len(system.published_names())} VMIs; "
-                f"{reclaimable / 1e9:.3f} GB reclaimable"
+def _print_remote_batch(args, verb, replies, status) -> int:
+    """The rows and summary line of remote batch replies: failed rows
+    always, the others with ``--progress``; ``status(row)`` gives a
+    finished row's ``(seconds, note)``."""
+    from repro.service.executor import summary_line
+
+    rows = [row for reply in replies for row in reply["results"]]
+    done = [row for row in rows if "error" not in row]
+    for position, row in enumerate(rows, start=1):
+        # a publish row names its corpus item, and its stored image
+        # once published
+        name = row.get("name", row.get("item"))
+        error = row.get("error")
+        if error is not None:
+            _print_item(
+                position,
+                len(rows),
+                name,
+                error=f"{error['code']}: {error['message']}",
             )
-            _print_gc_report(system.garbage_collect(full=args.full))
-            return 0
-        finally:
-            _finish(system, args)
-
-    if not 0 < args.churn <= 100:
-        print("error: --churn must be in (0, 100]", file=sys.stderr)
-        return 2
-    prepared = _published_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system, names = prepared
-    victims = _churn_victims(names, args.churn, args.seed)
-    deleted = system.delete_many(victims)
-    if deleted.n_failed:
-        print(deleted.render(), file=sys.stderr)
-        return 1
-    reclaimable = system.repo.reclaimable_bytes()
+        elif args.progress:
+            _print_item(position, len(rows), name, *status(row))
+    seconds = sum((row["simulated_seconds"] for row in done), 0.0)
     print(
-        f"published {len(names)} VMIs, deleted {len(victims)}; "
-        f"{reclaimable / 1e9:.3f} GB reclaimable"
+        f"{summary_line(verb, len(done), len(rows), seconds)} "
+        f"(remote, tenant {args.tenant!r})"
     )
-    _print_gc_report(system.garbage_collect(full=args.full))
+    return 1 if len(done) < len(rows) else 0
+
+
+def _print_published(label, result, repository_bytes=None) -> None:
+    stored = result["name"]
+    line = (
+        f"{label}: published{'' if stored == label else ' as ' + stored} "
+        f"in {fmt_seconds(result['simulated_seconds'])}, "
+        f"similarity {result['similarity']:.2f}, "
+        f"exported {result['exported_packages']} packages, "
+        f"deduplicated {result['deduplicated_packages']}"
+    )
+    if repository_bytes is not None:
+        line += f", repository now {fmt_gb(repository_bytes)}"
+    print(line)
+
+
+def _print_gc(result) -> int:
+    print(
+        f"gc ({result['mode']}): reclaimed "
+        f"{result['reclaimed_bytes'] / 1e9:.3f} GB — "
+        f"{result['removed_packages']} packages, "
+        f"{result['removed_user_data']} user data, "
+        f"{result['removed_bases']} bases"
+    )
+    print(
+        f"  work: {result['graph_rebuilds']} master graphs rebuilt, "
+        f"{result['records_scanned']} records scanned, "
+        f"{result['simulated_seconds']:.2f} simulated s"
+    )
     return 0
 
 
-def _cmd_fsck(args) -> int:
-    if getattr(args, "workspace", None) is not None:
-        # the cross-process integrity gate: check the store exactly as
-        # the last invocation left it
-        system = _make_system(args)
-        try:
-            return _print_fsck_report(system.fsck())
-        finally:
-            _finish(system, args)
-
-    if not 0 <= args.churn <= 100:
-        print("error: --churn must be in [0, 100]", file=sys.stderr)
-        return 2
-    prepared = _published_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system, names = prepared
-    if args.churn:
-        victims = _churn_victims(names, args.churn, args.seed)
-        system.delete_many(victims)
-        system.garbage_collect()
-    return _print_fsck_report(system.fsck())
-
-
-def _print_fsck_report(report) -> int:
-    if report.clean:
+def _print_fsck(result) -> int:
+    if result["clean"]:
         print(
-            f"repository clean: {report.checked_blobs} blobs, "
-            f"{report.checked_vmis} VMIs checked"
+            f"repository clean: {result['checked_blobs']} blobs, "
+            f"{result['checked_vmis']} VMIs checked"
         )
         return 0
     print(
-        f"{len(report.findings)} inconsistencies found:",
+        f"{len(result['findings'])} inconsistencies found:",
         file=sys.stderr,
     )
-    for finding in report.findings:
+    for finding in result["findings"]:
         print(f"  {finding}", file=sys.stderr)
     return 1
 
 
-def _legacy_victims(args):
-    """The split regime's version-pinned legacy builds, or exit 2."""
-    from repro.workloads.generator import scale_corpus
-
-    if args.scale is None or not getattr(args, "split_pct", 0):
-        print(
-            "error: --legacy selects the generated corpus's "
-            "version-pinned builds; it needs --scale and --split-pct",
-            file=sys.stderr,
+def _print_checkpoint(result) -> int:
+    if not result["checkpointed"]:
+        raise _CommandError(
+            f"server did not checkpoint ({result['reason']})", 1
         )
-        return 2
-    corpus = scale_corpus(
-        args.scale,
-        n_families=args.families,
-        seed=args.seed,
-        split_base_pct=args.split_pct,
-        fat_base_pct=0,
+    print(
+        f"checkpoint written: {result['snapshot_bytes'] / 1e6:.2f} MB "
+        f"snapshot, {result['ops_folded']} journaled op(s) folded in, "
+        "op-log truncated"
     )
-    return list(corpus.legacy_names())
+    return 0
 
 
-def _maintenance_system(args):
-    """The system mine/rebase operates on, or an exit code.
+def _print_repository(total_bytes: int, n_vmis: int) -> None:
+    print(f"repository: {fmt_gb(total_bytes)} across {n_vmis} published VMIs")
 
-    Workspace mode opens the existing store exactly as earlier
-    invocations left it.  Otherwise the selected corpus is published
-    fresh and, in the split regime, its version-pinned legacy builds
-    are deleted first — the churn that strands mergeable generation
-    pairs for the miner to find.
-    """
-    if getattr(args, "workspace", None) is not None:
-        return _make_system(args)
-    prepared = _published_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system, names = prepared
-    if (
-        args.scale is not None
-        and getattr(args, "split_pct", 0)
-        and not args.keep_legacy
-    ):
-        victims = _legacy_victims(args)
-        assert not isinstance(victims, int)
-        deleted = system.delete_many(victims)
-        print(
-            f"published {len(names)} VMIs, deleted "
-            f"{deleted.n_deleted} legacy build(s)"
+
+# ---------------------------------------------------------------------------
+# verbs
+# ---------------------------------------------------------------------------
+
+
+def _cmd_publish(args) -> int:
+    from repro.errors import ReproError
+    from repro.service.protocol import publish_reply
+
+    if args.remote is not None:
+        source, items = _corpus_reference(args)
+        with _remote(args, "names") as client:
+            for item in items:
+                _print_published(item, client.publish(source, item))
+        return 0
+    vmis = _corpus_vmis(args)
+    with _session(args) as system:
+        for name, vmi in zip(args.names, vmis):
+            charge = vmi.mounted_size
+            try:
+                report = system.publish(vmi)
+            except ReproError as exc:
+                raise _CommandError(f"{name}: {exc}", 1) from exc
+            _print_published(
+                name,
+                publish_reply(report, charge),
+                system.repository_size,
+            )
+    return 0
+
+
+def _cmd_publish_many(args) -> int:
+    _positive(args.parallel, "--parallel")
+    if args.remote is not None:
+        source, items = _corpus_reference(args)
+        sent = ("names", "scale", "families", "seed", "split_pct", "progress")
+        with _remote(args, *sent) as client:
+            reply = client.publish_many(source, items)
+        return _print_remote_batch(
+            args,
+            "published",
+            [reply],
+            lambda row: (row["simulated_seconds"], ""),
         )
-    return system
+    vmis = _corpus_vmis(args)
+    with _session(args, indexed_selection=not args.scan) as system:
+        report = system.publish_many(
+            vmis,
+            order=args.order,
+            progress=_echo(args, lambda item: (item.report.publish_time, "")),
+            parallelism=args.parallel,
+        )
+    print(report.render())
+    return 1 if report.n_failed else 0
+
+
+def _cmd_retrieve_many(args) -> int:
+    _positive(args.repeat, "--repeat")
+    _positive(args.parallel, "--parallel")
+    if args.remote is not None:
+        with _remote(args, "names", "repeat", "progress") as client:
+            replies = [
+                client.retrieve_many(args.names or None)
+                for _ in range(args.repeat)
+            ]
+        return _print_remote_batch(
+            args,
+            "retrieved",
+            replies,
+            lambda row: (
+                row["simulated_seconds"],
+                f" digest {row['manifest_digest'][:12]}",
+            ),
+        )
+    if args.cold and args.parallel is not None:
+        raise _CommandError(
+            "--cold is the sequential cache-less reference; drop "
+            "--parallel"
+        )
+    with _local_system(args) as (system, names, held):
+        targets = names
+        if args.workspace is not None:
+            # retrieve what the workspace already holds — published by
+            # an earlier invocation, possibly by another process
+            unknown = [n for n in args.names if n not in names]
+            if unknown:
+                raise _CommandError(
+                    "not published in this workspace: "
+                    f"{', '.join(unknown)}"
+                )
+            targets = list(args.names) or names
+        if not targets:
+            raise _CommandError("workspace holds no published VMIs")
+        print(f"{held}; retrieving {len(targets)} x{args.repeat}")
+        requests = [n for _ in range(args.repeat) for n in targets]
+        return _run_retrieval(system, requests, args)
+
+
+def _run_retrieval(system, requests, args) -> int:
+    """The local retrieval body: cold sequential or warm batch."""
+    if not args.cold:
+        report = system.retrieve_many(
+            requests,
+            order=args.order,
+            progress=_echo(
+                args,
+                lambda item: (
+                    item.report.retrieval_time,
+                    f"{' warm' if item.warm_base else ''}"
+                    f"{' plan-hit' if item.plan_hit else ''}",
+                ),
+            ),
+            parallelism=args.parallel,
+        )
+        print(report.render())
+        return 1 if report.n_failed else 0
+
+    from repro.errors import ReproError
+    from repro.service.executor import summary_line
+    from repro.service.retrieval import components_line
+    from repro.sim.clock import TimeBreakdown
+
+    total = TimeBreakdown()
+    failed = 0
+    for done, name in enumerate(requests, start=1):
+        try:
+            report = system.retrieve(name)
+        except ReproError as exc:
+            failed += 1
+            if args.progress:
+                _print_item(done, len(requests), name, error=exc)
+            continue
+        total = total.merged(report.breakdown)
+        if args.progress:
+            _print_item(done, len(requests), name, report.retrieval_time)
+    n_served = len(requests) - failed
+    print(
+        f"{summary_line('retrieved', n_served, len(requests), total.total)}"
+        " (cold, sequential)"
+    )
+    print(f"  components: {components_line(total)}")
+    return 1 if failed else 0
+
+
+def _cmd_delete(args) -> int:
+    if args.remote is not None:
+        if not args.names:
+            raise _CommandError(
+                "remote delete needs explicit image names (churn "
+                "selection is a local-store feature)"
+            )
+        with _remote(args, "names", "progress") as client:
+            reply = client.delete_many(args.names)
+        return _print_remote_batch(
+            args, "deleted", [reply], lambda row: (None, "deleted")
+        )
+    # explicit victims from a workspace; unknown names surface as
+    # per-item failures through the pipeline's isolation
+    explicit = args.workspace is not None and bool(args.names)
+    victims = _legacy_victims(args) if args.legacy else None
+    if victims is None and not explicit:
+        _check_churn(args)
+    with _local_system(args) as (system, names, held):
+        if victims is None:
+            victims = (
+                list(args.names)
+                if explicit
+                else _churn_victims(names, args.churn, args.seed)
+            )
+        print(f"{held}; deleting {len(victims)}")
+        report = system.delete_many(
+            victims,
+            progress=_echo(args, lambda item: (None, "deleted")),
+            gc_threshold_bytes=(
+                None
+                if args.gc_threshold_gb is None
+                else int(args.gc_threshold_gb * 1e9)
+            ),
+            checkpoint_every_ops=args.checkpoint_every,
+        )
+    print(report.render())
+    return 1 if report.n_failed else 0
+
+
+def _cmd_gc(args) -> int:
+    from repro.service.protocol import gc_reply
+
+    if args.remote is not None:
+        with _remote(args, "full") as client:
+            return _print_gc(client.gc(full=args.full))
+    if args.workspace is None:
+        _check_churn(args)
+    with _local_system(args) as (system, names, held):
+        if args.workspace is None:
+            victims = _churn_victims(names, args.churn, args.seed)
+            deleted = system.delete_many(victims)
+            if deleted.n_failed:
+                raise _CommandError(
+                    f"the churn did not delete cleanly\n{deleted.render()}",
+                    1,
+                )
+            held += f", deleted {len(victims)}"
+        # in a workspace: the pending garbage of earlier deletes,
+        # possibly made by other processes
+        print(
+            f"{held}; {system.repo.reclaimable_bytes() / 1e9:.3f} GB "
+            "reclaimable"
+        )
+        return _print_gc(gc_reply(system.garbage_collect(full=args.full)))
+
+
+def _cmd_fsck(args) -> int:
+    from repro.service.protocol import fsck_reply
+
+    if args.remote is not None:
+        with _remote(args) as client:
+            return _print_fsck(client.fsck())
+    if args.workspace is None:
+        _check_churn(args, allow_zero=True)
+    # in a workspace, the cross-process integrity gate: the store is
+    # checked exactly as the last invocation left it
+    with _local_system(args) as (system, names, _):
+        if args.workspace is None and args.churn:
+            system.delete_many(_churn_victims(names, args.churn, args.seed))
+            system.garbage_collect()
+        return _print_fsck(fsck_reply(system.fsck()))
+
+
+@contextmanager
+def _maintenance_system(args):
+    """The system mine/rebase operates on (:func:`_local_system`); a
+    fresh split-regime corpus has its version-pinned legacy builds
+    deleted first — the churn that strands mergeable generation pairs
+    for the miner to find."""
+    with _local_system(args) as (system, _, held):
+        if (
+            args.workspace is None
+            and args.scale is not None
+            and args.split_pct
+            and not args.keep_legacy
+        ):
+            deleted = system.delete_many(_legacy_victims(args))
+            print(f"{held}, deleted {deleted.n_deleted} legacy build(s)")
+        yield system
 
 
 def _cmd_mine(args) -> int:
-    prepared = _maintenance_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system = prepared
-    try:
+    with _maintenance_system(args) as system:
         print(system.mine_bases().render())
-        return 0
-    finally:
-        _finish(system, args)
+    return 0
 
 
 def _cmd_rebase(args) -> int:
-    prepared = _maintenance_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system = prepared
-    try:
+    with _maintenance_system(args) as system:
         print(system.rebase().render())
-        return 0
-    finally:
-        _finish(system, args)
+    return 0
 
 
-def _cmd_corpus() -> int:
+def _cmd_corpus(args) -> int:
     from repro.workloads.generator import standard_corpus
     from repro.workloads.vmi_specs import TABLE_II_ORDER
 
@@ -1071,26 +1154,19 @@ def _cmd_corpus() -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.remote is not None:
+        with _remote(args) as client:
+            _print_server_stats(client.stats())
+        return 0
     from repro.analysis.storage_report import storage_report
-    from repro.workloads.generator import standard_corpus
-    from repro.workloads.vmi_specs import TABLE_II_ORDER
+    from repro.repository.federation import FederatedRepository
 
-    system = _make_system(args)
-    try:
-        if getattr(args, "workspace", None) is None:
-            corpus = standard_corpus()
-            for name in args.names or TABLE_II_ORDER:
-                system.publish(corpus.build(name))
-        from repro.repository.federation import FederatedRepository
-
+    with _local_system(args) as (system, _, _):
         if isinstance(system, FederatedRepository):
             _print_federation_stats(system)
         else:
-            report = storage_report(system.repo)
-            _print_stats(report)
-        return 0
-    finally:
-        _finish(system, args)
+            _print_stats(storage_report(system.repo))
+    return 0
 
 
 def _print_federation_stats(fed) -> None:
@@ -1111,8 +1187,7 @@ def _print_federation_stats(fed) -> None:
 
 
 def _print_stats(report) -> None:
-    print(f"repository: {fmt_gb(report.total_bytes)} across "
-          f"{report.n_vmis} published VMIs")
+    _print_repository(report.total_bytes, report.n_vmis)
     print(f"  base images : {fmt_gb(report.base_bytes)}")
     print(f"  packages    : {fmt_gb(report.package_bytes)} "
           f"({len(report.packages)} stored, sharing factor "
@@ -1128,54 +1203,62 @@ def _print_stats(report) -> None:
               f"amortized {pkg.amortized_size / 1e6:.1f} MB/VMI")
 
 
-def _is_federation_root(path) -> bool:
-    from pathlib import Path
-
-    from repro.repository.federation import MANIFEST_NAME
-
-    return (Path(path) / MANIFEST_NAME).exists()
-
-
-def _require_workspace(args) -> str | None:
-    path = getattr(args, "workspace", None)
-    if path is None:
-        print(
-            f"error: {args.command} requires --workspace",
-            file=sys.stderr,
+def _print_server_stats(result) -> None:
+    repo = result["repository"]
+    _print_repository(repo["total_bytes"], repo["n_vmis"])
+    for kind, n_bytes in sorted(repo["bytes_by_kind"].items()):
+        print(f"  {kind:<12}: {fmt_gb(n_bytes)}")
+    print("\ntenants:")
+    for name, usage in sorted(result["tenants"].items()):
+        limit = (
+            fmt_gb(usage["max_bytes"])
+            if usage["max_bytes"] is not None
+            else "unlimited"
         )
-    return path
+        print(
+            f"  {name:<16} {fmt_gb(usage['bytes_stored'])} of "
+            f"{limit}, {usage['published']} image(s), "
+            f"{usage['requests']} request(s), "
+            f"{usage['quota_rejections'] + usage['busy_rejections']}"
+            f" rejection(s)"
+        )
+    server = result["server"]
+    print(
+        f"\nserver: {server['admitted']} admitted, "
+        f"{server['rejected']} rejected (overload), peak "
+        f"{server['peak_active']}/{server['workers']}+"
+        f"{server['queue_limit']} in flight, "
+        f"{server['idle_checkpoints']} idle checkpoint(s)"
+    )
 
 
 def _cmd_snapshot(args) -> int:
-    if _require_workspace(args) is None:
-        return 2
-    system = _make_system(args)
-    try:
-        ops = system.workspace.ops_since_checkpoint
-        size = system.save()
-        print(
-            f"checkpoint written: {size / 1e6:.2f} MB snapshot, "
-            f"{ops} journaled op(s) folded in; next reopen replays 0"
-        )
-        return 0
-    finally:
-        _finish(system, args)
+    from repro.service.protocol import checkpoint_reply
+
+    if args.remote is not None:
+        with _remote(args) as client:
+            return _print_checkpoint(client.checkpoint())
+    _require_workspace(args)
+    with _session(args) as system:
+        return _print_checkpoint(checkpoint_reply(system))
 
 
 def _cmd_compact(args) -> int:
-    if _require_workspace(args) is None:
-        return 2
-    system = _make_system(args)
-    try:
-        _print_gc_report(system.garbage_collect(full=args.full))
-        size = system.save()
-        print(
-            f"checkpoint written: {size / 1e6:.2f} MB snapshot, "
-            f"op-log truncated"
-        )
-        return 0
-    finally:
-        _finish(system, args)
+    from repro.service.protocol import checkpoint_reply, gc_reply
+
+    _require_workspace(args)
+    with _session(args) as system:
+        _print_gc(gc_reply(system.garbage_collect(full=args.full)))
+        return _print_checkpoint(checkpoint_reply(system))
+
+
+def _cmd_shutdown(args) -> int:
+    if args.remote is None:
+        raise _CommandError("shutdown requires --remote HOST:PORT")
+    with _remote(args) as client:
+        client.shutdown()
+    print(f"server at {client.host}:{client.port} is draining")
+    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -1190,15 +1273,9 @@ def _cmd_serve(args) -> int:
     from repro.service.server import ImageServer, ServerConfig
     from repro.service.tenancy import TenantQuota
 
-    if args.workers < 1:
-        print("error: --workers must be positive", file=sys.stderr)
-        return 2
+    _positive(args.workers, "--workers")
     if args.queue_limit < 0:
-        print(
-            "error: --queue-limit must be non-negative",
-            file=sys.stderr,
-        )
-        return 2
+        raise _CommandError("--queue-limit must be non-negative")
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -1218,19 +1295,8 @@ def _cmd_serve(args) -> int:
             else args.checkpoint_idle
         ),
     )
-    path = getattr(args, "workspace", None)
-    shards = getattr(args, "shards", None)
-    if shards is not None or (
-        path is not None and _is_federation_root(path)
-    ):
-        # the daemon fronts a federation: same protocol, N shards
-        server = ImageServer(_make_system(args), config)
-    elif path is not None:
-        server = ImageServer.for_workspace(path, config)
-    else:
-        from repro.core.system import Expelliarmus
-
-        server = ImageServer(Expelliarmus(), config)
+    # a workspace, a federation (same protocol, N shards) or memory
+    server = ImageServer(_make_system(args), config)
     host, port = server.start()
     print(f"listening on {host}:{port}", flush=True)
     if args.port_file:
@@ -1256,352 +1322,44 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# remote mode: the same verbs against a running daemon
-# ---------------------------------------------------------------------------
-
-
-def _remote_source_items(args):
-    """(source descriptor, item list) from the corpus flags, or ``2``.
-
-    Remote publishes ship corpus *references*; the daemon builds the
-    images (the corpora are pure functions of their configuration).
-    """
-    from repro.service.protocol import scale_source, table2_source
-    from repro.workloads.vmi_specs import TABLE_II_ORDER
-
-    if getattr(args, "scale", None) is not None:
-        if args.scale < 1:
-            print("error: --scale must be positive", file=sys.stderr)
-            return 2
-        return (
-            scale_source(
-                args.scale,
-                n_families=args.families,
-                seed=args.seed,
-            ),
-            list(range(args.scale)),
-        )
-    names = list(getattr(args, "names", None) or TABLE_II_ORDER)
-    unknown = [n for n in names if n not in TABLE_II_ORDER]
-    if unknown:
-        print(
-            f"error: unknown corpus image(s): {', '.join(unknown)} "
-            f"(see 'expelliarmus corpus')",
-            file=sys.stderr,
-        )
-        return 2
-    return table2_source(), names
-
-
-def _remote_publish(client, args) -> int:
-    from repro.service.protocol import table2_source
-
-    for name in args.names:
-        result = client.publish(table2_source(), name)
-        print(
-            f"{name}: published as {result['name']} in "
-            f"{fmt_seconds(result['simulated_seconds'])}, "
-            f"similarity {result['similarity']:.2f}, "
-            f"exported {result['exported_packages']} packages, "
-            f"deduplicated {result['deduplicated_packages']}"
-        )
-    return 0
-
-
-def _remote_publish_many(client, args) -> int:
-    prepared = _remote_source_items(args)
-    if isinstance(prepared, int):
-        return prepared
-    source, items = prepared
-    result = client.publish_many(source, items)
-    for row in result["results"]:
-        if "error" in row:
-            print(
-                f"  {row['item']}: FAILED "
-                f"({row['error']['code']}: "
-                f"{row['error']['message']})",
-                file=sys.stderr,
-            )
-        elif args.progress:
-            print(
-                f"  {row['item']}: {row['name']} "
-                f"{row['simulated_seconds']:7.2f}s"
-            )
-    print(
-        f"published {result['n_published']}/{result['n_items']} "
-        f"VMIs in {result['simulated_seconds']:.1f} simulated s "
-        f"(remote, tenant {client.tenant!r})"
-    )
-    return 1 if result["n_failed"] else 0
-
-
-def _remote_retrieve_many(client, args) -> int:
-    if args.repeat < 1:
-        print("error: --repeat must be positive", file=sys.stderr)
-        return 2
-    names = list(args.names) if args.names else None
-    retrieved = failed = 0
-    simulated = 0.0
-    for _ in range(args.repeat):
-        result = client.retrieve_many(names)
-        retrieved += result["n_retrieved"]
-        failed += result["n_failed"]
-        simulated += result["simulated_seconds"]
-        for row in result["results"]:
-            if "error" in row:
-                print(
-                    f"  {row['name']}: FAILED "
-                    f"({row['error']['code']}: "
-                    f"{row['error']['message']})",
-                    file=sys.stderr,
-                )
-            elif args.progress:
-                print(
-                    f"  {row['name']}: "
-                    f"{row['simulated_seconds']:7.2f}s "
-                    f"digest {row['manifest_digest'][:12]}"
-                )
-    print(
-        f"retrieved {retrieved}/{retrieved + failed} VMIs in "
-        f"{simulated:.1f} simulated s (remote, tenant "
-        f"{client.tenant!r})"
-    )
-    return 1 if failed else 0
-
-
-def _remote_delete(client, args) -> int:
-    if not args.names:
-        print(
-            "error: remote delete needs explicit image names "
-            "(churn selection is a local-store feature)",
-            file=sys.stderr,
-        )
-        return 2
-    result = client.delete_many(list(args.names))
-    for row in result["results"]:
-        if "error" in row:
-            print(
-                f"  {row['name']}: FAILED "
-                f"({row['error']['code']}: "
-                f"{row['error']['message']})",
-                file=sys.stderr,
-            )
-        elif args.progress:
-            print(f"  {row['name']}: deleted")
-    print(
-        f"deleted {result['n_deleted']}/{result['n_items']} VMIs "
-        f"(remote, tenant {client.tenant!r})"
-    )
-    return 1 if result["n_failed"] else 0
-
-
-def _remote_gc(client, args) -> int:
-    result = client.gc(full=args.full)
-    print(
-        f"gc ({result['mode']}): reclaimed "
-        f"{result['reclaimed_bytes'] / 1e9:.3f} GB — "
-        f"{result['removed_packages']} packages, "
-        f"{result['removed_user_data']} user data, "
-        f"{result['removed_bases']} bases"
-    )
-    print(
-        f"  work: {result['graph_rebuilds']} master graphs rebuilt, "
-        f"{result['records_scanned']} records scanned, "
-        f"{result['simulated_seconds']:.2f} simulated s"
-    )
-    return 0
-
-
-def _remote_fsck(client, args) -> int:
-    result = client.fsck()
-    if result["clean"]:
-        print(
-            f"repository clean: {result['checked_blobs']} blobs, "
-            f"{result['checked_vmis']} VMIs checked"
-        )
-        return 0
-    print(
-        f"{len(result['findings'])} inconsistencies found:",
-        file=sys.stderr,
-    )
-    for finding in result["findings"]:
-        print(f"  {finding}", file=sys.stderr)
-    return 1
-
-
-def _remote_stats(client, args) -> int:
-    result = client.stats()
-    repo = result["repository"]
-    print(
-        f"repository: {fmt_gb(repo['total_bytes'])} across "
-        f"{repo['n_vmis']} published VMIs"
-    )
-    for kind, n_bytes in sorted(repo["bytes_by_kind"].items()):
-        print(f"  {kind:<12}: {fmt_gb(n_bytes)}")
-    print("\ntenants:")
-    for name, usage in sorted(result["tenants"].items()):
-        limit = (
-            fmt_gb(usage["max_bytes"])
-            if usage["max_bytes"] is not None
-            else "unlimited"
-        )
-        print(
-            f"  {name:<16} {fmt_gb(usage['bytes_stored'])} of "
-            f"{limit}, {usage['published']} image(s), "
-            f"{usage['requests']} request(s), "
-            f"{usage['quota_rejections'] + usage['busy_rejections']}"
-            f" rejection(s)"
-        )
-    server = result["server"]
-    print(
-        f"\nserver: {server['admitted']} admitted, "
-        f"{server['rejected']} rejected (overload), peak "
-        f"{server['peak_active']}/{server['workers']}+"
-        f"{server['queue_limit']} in flight, "
-        f"{server['idle_checkpoints']} idle checkpoint(s)"
-    )
-    return 0
-
-
-def _remote_snapshot(client, args) -> int:
-    result = client.checkpoint()
-    if not result["checkpointed"]:
-        print(
-            f"error: server did not checkpoint "
-            f"({result['reason']})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"checkpoint written: "
-        f"{result['snapshot_bytes'] / 1e6:.2f} MB snapshot, "
-        f"{result['ops_folded']} journaled op(s) folded in"
-    )
-    return 0
-
-
-def _remote_shutdown(client, args) -> int:
-    client.shutdown()
-    print(f"server at {client.host}:{client.port} is draining")
-    return 0
-
-
-_REMOTE_DISPATCH = {
-    "publish": _remote_publish,
-    "publish-many": _remote_publish_many,
-    "retrieve-many": _remote_retrieve_many,
-    "delete": _remote_delete,
-    "gc": _remote_gc,
-    "fsck": _remote_fsck,
-    "stats": _remote_stats,
-    "snapshot": _remote_snapshot,
-    "shutdown": _remote_shutdown,
+_VERBS = {
+    "experiments": _cmd_experiments,
+    "publish": _cmd_publish,
+    "publish-many": _cmd_publish_many,
+    "retrieve-many": _cmd_retrieve_many,
+    "delete": _cmd_delete,
+    "gc": _cmd_gc,
+    "fsck": _cmd_fsck,
+    "mine": _cmd_mine,
+    "rebase": _cmd_rebase,
+    "corpus": _cmd_corpus,
+    "stats": _cmd_stats,
+    "snapshot": _cmd_snapshot,
+    "compact": _cmd_compact,
+    "serve": _cmd_serve,
+    "shutdown": _cmd_shutdown,
 }
-
-
-def _dispatch_remote(args) -> int:
-    """Route one CLI invocation to a remote daemon.
-
-    Typed service errors come back as machine-readable one-liners
-    (``error [code]: message``) with exit 1; flag combinations that
-    only make sense against a local store exit 2.
-    """
-    from repro.errors import ReproError
-    from repro.service.client import RemoteClient
-
-    if getattr(args, "workspace", None) is not None:
-        print(
-            "error: --remote and --workspace are exclusive (the "
-            "daemon owns the store)",
-            file=sys.stderr,
-        )
-        return 2
-    for flag in ("parallel", "cold", "scan", "shards", "split_pct"):
-        if getattr(args, flag, None):
-            print(
-                f"error: --{flag.replace('_', '-')} is a "
-                "local-execution flag; the server decides its own "
-                "execution strategy",
-                file=sys.stderr,
-            )
-            return 2
-    handler = _REMOTE_DISPATCH.get(args.command)
-    if handler is None:
-        print(
-            f"error: {args.command!r} cannot run remotely",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        client = RemoteClient.connect(args.remote, tenant=args.tenant)
-    except (OSError, ReproError) as exc:
-        print(
-            f"error: cannot reach image server at {args.remote!r}: "
-            f"{exc}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        with client:
-            return handler(client, args)
-    except ReproError as exc:
-        code = getattr(exc, "code", None)
-        label = f"error [{code}]" if code else "error"
-        print(f"{label}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(
-            f"error: connection to {args.remote} failed: {exc}",
-            file=sys.stderr,
-        )
-        return 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     from repro.errors import WorkspaceError
 
     args = build_parser().parse_args(argv)
-    shards = getattr(args, "shards", None)
-    if shards is not None and shards < 1:
-        print("error: --shards must be positive", file=sys.stderr)
-        return 2
-    dispatch = {
-        "publish": _cmd_publish,
-        "publish-many": _cmd_publish_many,
-        "retrieve-many": _cmd_retrieve_many,
-        "delete": _cmd_delete,
-        "gc": _cmd_gc,
-        "fsck": _cmd_fsck,
-        "mine": _cmd_mine,
-        "rebase": _cmd_rebase,
-        "stats": _cmd_stats,
-        "snapshot": _cmd_snapshot,
-        "compact": _cmd_compact,
-        "serve": _cmd_serve,
-    }
-    if getattr(args, "remote", None) is not None:
-        return _dispatch_remote(args)
-    if args.command == "shutdown":
-        print(
-            "error: shutdown requires --remote HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        if args.command == "experiments":
-            return _cmd_experiments(args.ids, figures=args.figures)
-        if args.command == "corpus":
-            return _cmd_corpus()
-        if args.command in dispatch:
-            return dispatch[args.command](args)
+        _positive(args.shards, "--shards")
+        # a verb runs remotely iff its parser takes the remote flags
+        if args.remote is not None and not getattr(args, "remote_verb", False):
+            raise _CommandError(f"{args.command!r} cannot run remotely")
+        return _VERBS[args.command](args)
+    except _CommandError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.code
     except WorkspaceError as exc:
         # a broken, mismatched or (for serve) already-locked durable
         # store is an operator error, not a crash: one line on stderr
         # — a WorkspaceLockedError's line names the holding pid
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

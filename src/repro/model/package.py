@@ -63,6 +63,11 @@ class DependencySpec:
         return f"{self.name} ({self.op} {self.version})"
 
 
+#: per-instance caches a :class:`Package` fills in lazily (``_node_key``
+#: is set by :mod:`repro.model.graph`)
+_CACHES = frozenset({"_identity", "_identity_id", "_blob_key", "_node_key"})
+
+
 @dataclass(frozen=True)
 class Package:
     """A versioned binary package of the synthetic guest distribution.
@@ -144,11 +149,11 @@ class Package:
         return cached
 
     def __getstate__(self) -> dict[str, object]:
-        # interned ids are process-local: a pickled cache entry restored
-        # into another process would collide with that process's table
-        state = dict(self.__dict__)
-        state.pop("_identity_id", None)
-        return state
+        # the caches stay out of snapshots and op-log records: each is
+        # pure in the frozen fields and re-derived on first use, and an
+        # interned id restored into another process would collide with
+        # that process's table (files that carry them still load)
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
 
     def is_portable(self) -> bool:
         """True for ``Architecture: all`` packages."""

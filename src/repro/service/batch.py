@@ -37,8 +37,10 @@ from repro.service.executor import (
     OverlapAccounting,
     ShardAccount,
     check_options,
+    failure_lines,
     merge_stats,
     run_batch,
+    summary_line,
 )
 
 __all__ = [
@@ -174,9 +176,8 @@ class BatchPublishReport(OverlapAccounting):
         """A compact operator-facing summary of the batch."""
         stats = self.selection_stats
         lines = [
-            f"published {self.n_published}/{self.n_items} VMIs in "
-            f"{self.simulated_seconds:.1f} simulated s "
-            f"({self.publish_rate:.2f} VMI/s)",
+            summary_line("published", self.n_published, self.n_items, self.simulated_seconds)
+            + f" ({self.publish_rate:.2f} VMI/s)",
             f"  repository: +{self.bytes_added / 1e9:.3f} GB "
             f"(now {self.repo_bytes_after / 1e9:.3f} GB)",
             f"  packages: {self.exported_packages} exported, "
@@ -189,9 +190,9 @@ class BatchPublishReport(OverlapAccounting):
             f"{stats.compat_checks} compatibility checks "
             f"({stats.compat_cache_hits} memo hits)",
         ]
-        for failure in self.failures():
-            lines.append(f"  FAILED {failure.name}: {failure.error}")
-        return "\n".join(lines + self.overlap_lines())
+        return "\n".join(
+            lines + failure_lines(self.results) + self.overlap_lines()
+        )
 
 
 class BatchPublisher:

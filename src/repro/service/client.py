@@ -6,9 +6,10 @@ job — a process wanting parallel requests opens parallel clients, which
 is exactly what the stress suites and the traffic benchmark do).  Error
 responses come back as the same typed exceptions the local library
 raises — ``except QuotaExceededError:`` works identically against a
-local :class:`~repro.core.system.Expelliarmus` and a remote daemon,
-which is what lets the CLI share its rendering code between the two
-modes.
+local :class:`~repro.core.system.Expelliarmus` and a remote daemon.
+Results come back as the reply forms of :mod:`repro.service.protocol`,
+the same dicts the CLI makes of a local run's reports, so each CLI
+verb prints a local result and a remote one through one printer.
 """
 
 from __future__ import annotations

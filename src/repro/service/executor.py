@@ -25,9 +25,11 @@ __all__ = [
     "Progress",
     "ShardAccount",
     "check_options",
+    "failure_lines",
     "merge_stats",
     "route",
     "run_batch",
+    "summary_line",
 ]
 
 
@@ -37,6 +39,16 @@ def check_options(on_error: str, order=None, orders: Sequence[str] = ()):
         raise ValueError(f"unknown batch order {order!r}")
     if on_error not in ("continue", "raise"):
         raise ValueError(f"unknown error policy {on_error!r}")
+
+
+def summary_line(verb: str, done: int, total: int, seconds: float) -> str:
+    """The first line of every batch summary, local or remote."""
+    return f"{verb} {done}/{total} VMIs in {seconds:.1f} simulated s"
+
+
+def failure_lines(results) -> list[str]:
+    """One summary line per failed item result."""
+    return [f"  FAILED {r.name}: {r.error}" for r in results if not r.ok]
 
 
 class Progress:

@@ -51,7 +51,11 @@ from typing import Callable, Sequence
 from repro.errors import ReproError
 from repro.repository.gc import GarbageCollector, GCReport
 from repro.repository.repo import Repository
-from repro.service.executor import check_options
+from repro.service.executor import (
+    check_options,
+    failure_lines,
+    summary_line,
+)
 from repro.sim.clock import SimulatedClock
 from repro.sim.costmodel import CostModel
 
@@ -124,8 +128,7 @@ class MaintenanceReport:
     def render(self) -> str:
         """A compact operator-facing summary of the batch."""
         lines = [
-            f"deleted {self.n_deleted}/{self.n_items} VMIs in "
-            f"{self.simulated_seconds:.1f} simulated s",
+            summary_line("deleted", self.n_deleted, self.n_items, self.simulated_seconds),
             f"  repository: -{self.reclaimed_bytes / 1e9:.3f} GB "
             f"(now {self.repo_bytes_after / 1e9:.3f} GB), "
             f"{self.reclaimable_after / 1e9:.3f} GB awaiting GC",
@@ -145,9 +148,7 @@ class MaintenanceReport:
                 f"  {self.checkpoints} snapshot checkpoint(s) written "
                 "(op-count policy)"
             )
-        for failure in self.failures():
-            lines.append(f"  FAILED {failure.name}: {failure.error}")
-        return "\n".join(lines)
+        return "\n".join(lines + failure_lines(self.results))
 
 
 class MaintenanceService:

@@ -30,7 +30,18 @@ publish request names ``(source, item)`` and the server builds the
 identical image locally (:func:`table2_source`, :func:`scale_source`
 build the source descriptors).  This mirrors how a registry ingests
 by reference, keeps frames tiny, and is what lets the differential
-suite demand byte-identical repositories on both ends.
+suite demand byte-identical repositories on both ends.  The selection
+rule is written once: :func:`select_corpus` turns corpus flags into a
+``(source, items)`` reference, :func:`source_config` validates a
+descriptor, and :func:`open_corpus` / :func:`build_item` build from
+it — the server, the CLI's local mode and its remote mode all go
+through them.
+
+**Reply forms.**  The results a local run reports too are written
+once here (:func:`publish_reply`, :func:`gc_reply`,
+:func:`fsck_reply`, :func:`checkpoint_reply`): the server replies with
+them, and the CLI turns a local report into the same form, so a local
+and a remote result print through one printer.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import hashlib
 import json
 import socket
 import struct
+from typing import Sequence
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -59,14 +71,22 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "REQUEST_OPS",
+    "build_item",
+    "checkpoint_reply",
     "error_payload",
     "exception_from_payload",
+    "fsck_reply",
+    "gc_reply",
     "make_request",
     "manifest_digest",
     "ok_payload",
+    "open_corpus",
+    "publish_reply",
     "recv_message",
     "scale_source",
+    "select_corpus",
     "send_message",
+    "source_config",
     "table2_source",
 ]
 
@@ -211,16 +231,108 @@ def table2_source() -> dict:
 
 
 def scale_source(
-    n_vmis: int, n_families: int = 8, seed: str = "scale"
+    n_vmis: int, n_families: int = 8, seed: str = "scale", split_pct: int = 0
 ) -> dict:
     """Source descriptor for a generated scale corpus (items are
-    integer VMI indices)."""
-    return {
+    integer VMI indices); ``split_pct`` selects the two-generation
+    split regime and is carried only when non-zero."""
+    source = {
         "kind": "scale",
         "n_vmis": n_vmis,
         "n_families": n_families,
         "seed": seed,
     }
+    if split_pct:
+        source["split_pct"] = split_pct
+    return source
+
+
+def source_config(source):
+    """Validate a source descriptor: ``None`` names the Table II
+    corpus, a :class:`~repro.workloads.scale.ScaleConfig` a generated
+    one (hashable, so it keys corpus caches).
+
+    Raises:
+        ProtocolError: not an object, an unknown kind, or a scale
+            configuration the generator refuses.
+    """
+    if not isinstance(source, dict):
+        raise ProtocolError("publish source must be an object")
+    kind = source.get("kind")
+    if kind == "table2":
+        return None
+    if kind != "scale":
+        raise ProtocolError(f"unknown corpus source kind {kind!r}")
+    from repro.workloads.scale import ScaleConfig
+
+    try:
+        split = int(source.get("split_pct", 0))
+        return ScaleConfig(
+            n_vmis=int(source["n_vmis"]),
+            n_families=int(source.get("n_families", 8)),
+            seed=str(source.get("seed", "scale")),
+            # the split regime needs the fat flavour off: a fat base
+            # conflicts with neither generation and would absorb both
+            **({"split_base_pct": split, "fat_base_pct": 0} if split else {}),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed scale source: {exc}") from exc
+
+
+def open_corpus(config):
+    """The corpus a :func:`source_config` result names."""
+    if config is None:
+        from repro.workloads.generator import standard_corpus
+
+        return standard_corpus()
+    from repro.workloads.scale import ScaleCorpus
+
+    return ScaleCorpus(config)
+
+
+def build_item(corpus, item):
+    """Build the VMI ``item`` names in ``corpus`` (an index into a
+    generated corpus, an image name in Table II).
+
+    Raises:
+        ProtocolError: an item of the wrong type, or outside the corpus.
+    """
+    from repro.workloads.scale import ScaleCorpus
+
+    try:
+        if isinstance(corpus, ScaleCorpus):
+            return corpus.build(int(item))
+        return corpus.build(str(item))
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"corpus item {item!r} is not buildable: {exc}"
+        ) from exc
+
+
+def select_corpus(
+    names=(), n_vmis=None, *, n_families=8, seed="scale", split_pct=0
+) -> tuple[dict, list]:
+    """The ``(source, items)`` reference corpus flags select: an
+    ``n_vmis``-VMI generated corpus, or else the named (default: all)
+    Table II images.
+
+    Raises:
+        ProtocolError: an unknown Table II name, or a scale
+            configuration the generator refuses.
+    """
+    if n_vmis is not None:
+        source = scale_source(n_vmis, n_families, seed, split_pct)
+        source_config(source)
+        return source, list(range(n_vmis))
+    from repro.workloads.vmi_specs import TABLE_II_ORDER
+
+    unknown = [n for n in names if n not in TABLE_II_ORDER]
+    if unknown:
+        raise ProtocolError(
+            f"unknown corpus image(s): {', '.join(unknown)} "
+            f"(see 'expelliarmus corpus')"
+        )
+    return table2_source(), list(names or TABLE_II_ORDER)
 
 
 def manifest_digest(manifest) -> str:
@@ -236,6 +348,62 @@ def manifest_digest(manifest) -> str:
     h.update(manifest.content_ids.tobytes())
     h.update(manifest.sizes.tobytes())
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# reply forms: one result object per operation
+# ---------------------------------------------------------------------------
+
+
+def publish_reply(report, charged_bytes: int) -> dict:
+    """A :class:`~repro.core.publisher.PublishReport`'s result."""
+    return {
+        "name": report.vmi_name,
+        "simulated_seconds": report.publish_time,
+        "similarity": report.similarity,
+        "exported_packages": len(report.exported_packages),
+        "deduplicated_packages": len(report.deduplicated_packages),
+        "charged_bytes": charged_bytes,
+    }
+
+
+def gc_reply(report) -> dict:
+    """A :class:`~repro.repository.gc.GCReport`'s result."""
+    return {
+        "mode": report.mode,
+        "reclaimed_bytes": report.reclaimed_bytes,
+        "removed_packages": report.removed_packages,
+        "removed_user_data": report.removed_user_data,
+        "removed_bases": report.removed_bases,
+        "records_scanned": report.records_scanned,
+        "graph_rebuilds": report.graph_rebuilds,
+        "simulated_seconds": report.gc_seconds,
+    }
+
+
+def fsck_reply(report, extra_findings: Sequence[str] = ()) -> dict:
+    """A :class:`~repro.repository.fsck.FsckReport`'s result, plus any
+    findings the caller checks beyond the repository."""
+    return {
+        "clean": report.clean and not extra_findings,
+        "checked_blobs": report.checked_blobs,
+        "checked_vmis": report.checked_vmis,
+        "findings": [str(f) for f in report.findings] + list(extra_findings),
+    }
+
+
+def checkpoint_reply(system) -> dict:
+    """Checkpoint ``system``'s workspace now; the result says what was
+    folded in, or why nothing was written."""
+    workspace = system.workspace
+    if workspace is None:
+        return {"checkpointed": False, "reason": "no workspace"}
+    ops = workspace.ops_since_checkpoint
+    return {
+        "checkpointed": True,
+        "snapshot_bytes": system.save(),
+        "ops_folded": ops,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,10 @@ from repro.service.executor import (
     OverlapAccounting,
     ShardAccount,
     check_options,
+    failure_lines,
     merge_stats,
     run_batch,
+    summary_line,
 )
 from repro.sim.clock import TimeBreakdown
 
@@ -193,9 +195,8 @@ class BatchRetrieveReport(OverlapAccounting):
         """A compact operator-facing summary of the batch."""
         stats = self.planner_stats
         lines = [
-            f"retrieved {self.n_retrieved}/{self.n_items} VMIs in "
-            f"{self.simulated_seconds:.1f} simulated s "
-            f"({self.retrieval_rate:.2f} VMI/s)",
+            summary_line("retrieved", self.n_retrieved, self.n_items, self.simulated_seconds)
+            + f" ({self.retrieval_rate:.2f} VMI/s)",
             f"  components: {components_line(self.breakdown)}",
             f"  plans: {stats.plans_derived} derived, "
             f"{stats.plan_hits} replayed from cache "
@@ -203,9 +204,9 @@ class BatchRetrieveReport(OverlapAccounting):
             f"  base copies: {stats.base_copies} cold, "
             f"{stats.base_cache_hits} served warm",
         ]
-        for failure in self.failures():
-            lines.append(f"  FAILED {failure.name}: {failure.error}")
-        return "\n".join(lines + self.overlap_lines())
+        return "\n".join(
+            lines + failure_lines(self.results) + self.overlap_lines()
+        )
 
 
 class BatchRetriever:

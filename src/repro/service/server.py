@@ -62,11 +62,18 @@ from repro.service.admission import AdmissionController
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     REQUEST_OPS,
+    build_item,
+    checkpoint_reply,
     error_payload,
+    fsck_reply,
+    gc_reply,
     manifest_digest,
     ok_payload,
+    open_corpus,
+    publish_reply,
     recv_message,
     send_message,
+    source_config,
 )
 from repro.service.tenancy import (
     TenantQuota,
@@ -162,8 +169,8 @@ class ImageServer:
         self.idle_checkpoints = 0
         #: requests served (ok or error response sent)
         self.requests_served = 0
-        #: corpora built on demand, cached by canonical source key
-        self._corpora: dict[tuple, object] = {}
+        #: corpora built on demand, cached by validated source config
+        self._corpora: dict[object, object] = {}
         self._corpora_lock = threading.Lock()
         #: ownership journal beside the workspace (None in-memory);
         #: rewritten on every ownership change, loaded on construction
@@ -478,74 +485,50 @@ class ImageServer:
         return handler(tenant, args)
 
     # ------------------------------------------------------------------
-    # corpus sources
-    # ------------------------------------------------------------------
-
-    def _corpus(self, source: dict):
-        """The (cached) corpus a source descriptor names.
-
-        Raises:
-            ProtocolError: unknown or malformed source descriptor.
-        """
-        if not isinstance(source, dict):
-            raise ProtocolError("publish source must be an object")
-        kind = source.get("kind")
-        if kind == "table2":
-            key: tuple = ("table2",)
-        elif kind == "scale":
-            try:
-                key = (
-                    "scale",
-                    int(source["n_vmis"]),
-                    int(source.get("n_families", 8)),
-                    str(source.get("seed", "scale")),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"malformed scale source: {exc}"
-                ) from exc
-        else:
-            raise ProtocolError(
-                f"unknown corpus source kind {kind!r}"
-            )
-        with self._corpora_lock:
-            corpus = self._corpora.get(key)
-            if corpus is None:
-                if key[0] == "table2":
-                    from repro.workloads.generator import (
-                        standard_corpus,
-                    )
-
-                    corpus = standard_corpus()
-                else:
-                    from repro.workloads.scale import scale_corpus
-
-                    corpus = scale_corpus(
-                        key[1], n_families=key[2], seed=key[3]
-                    )
-                self._corpora[key] = corpus
-            return corpus
-
-    def _build_item(self, source: dict, item):
-        """Build the VMI one (source, item) reference names.
-
-        Raises:
-            ProtocolError: item of the wrong type for the source, or
-                outside the corpus.
-        """
-        corpus = self._corpus(source)
-        try:
-            if source.get("kind") == "scale":
-                return corpus.build(int(item))
-            return corpus.build(str(item))
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"corpus item {item!r} is not buildable: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
+
+    def _build_item(self, source: dict, item):
+        """Build the VMI one (source, item) reference names, from a
+        corpus cached per validated source.
+
+        Raises:
+            ProtocolError: malformed source, or an item outside it.
+        """
+        config = source_config(source)
+        with self._corpora_lock:
+            corpus = self._corpora.get(config)
+            if corpus is None:
+                corpus = self._corpora[config] = open_corpus(config)
+        return build_item(corpus, item)
+
+    def _each(
+        self, items, label: str, counted: str, one, malformed: str
+    ) -> dict:
+        """The per-item loop behind every batch op: ``one(item)`` runs
+        each item; a typed failure is recorded in the item's row and the
+        batch goes on.  A non-list ``items`` is a ``malformed``
+        request."""
+        if not isinstance(items, list):
+            raise ProtocolError(malformed)
+        results = []
+        for item in items:
+            try:
+                results.append({label: item, **one(item)})
+            except ReproError as exc:
+                results.append(
+                    {label: item, "error": error_payload(exc)["error"]}
+                )
+        done = [r for r in results if "error" not in r]
+        return {
+            "n_items": len(items),
+            counted: len(done),
+            "n_failed": len(items) - len(done),
+            "simulated_seconds": sum(
+                (r["simulated_seconds"] for r in done), 0.0
+            ),
+            "results": results,
+        }
 
     def _op_ping(self, tenant, args) -> dict:
         return {
@@ -569,16 +552,7 @@ class ImageServer:
             raise
         self.tenants.record_owned(tenant, vmi.name)
         self._save_owners()
-        return {
-            "name": vmi.name,
-            "simulated_seconds": report.publish_time,
-            "similarity": report.similarity,
-            "exported_packages": len(report.exported_packages),
-            "deduplicated_packages": len(
-                report.deduplicated_packages
-            ),
-            "charged_bytes": charge,
-        }
+        return publish_reply(report, charge)
 
     def _op_publish(self, tenant, args) -> dict:
         return self._publish_one(
@@ -587,43 +561,30 @@ class ImageServer:
 
     def _op_publish_many(self, tenant, args) -> dict:
         source = args.get("source")
-        items = args.get("items")
-        if not isinstance(items, list):
-            raise ProtocolError(
-                "publish-many needs an 'items' list"
-            )
-        results = []
-        simulated = 0.0
-        failed = 0
-        for item in items:
-            try:
-                result = self._publish_one(tenant, source, item)
-            except ReproError as exc:
-                failed += 1
-                results.append(
-                    {
-                        "item": item,
-                        "error": error_payload(exc)["error"],
-                    }
-                )
-            else:
-                simulated += result["simulated_seconds"]
-                results.append({"item": item, **result})
-        return {
-            "n_items": len(items),
-            "n_published": len(items) - failed,
-            "n_failed": failed,
-            "simulated_seconds": simulated,
-            "results": results,
-        }
+        return self._each(
+            args.get("items"),
+            "item",
+            "n_published",
+            lambda item: self._publish_one(tenant, source, item),
+            "publish-many needs an 'items' list",
+        )
 
-    def _retrieve_one(self, tenant: str, name: str) -> dict:
+    def _owned(self, op: str, tenant: str, name) -> str:
+        """The stored name of one of ``tenant``'s images.
+
+        Authorization is by recorded ownership, not by prefix shape: a
+        pre-existing global name that merely *looks* namespaced (e.g. a
+        local publish of 'acme/web') is not the tenant's.
+        """
+        if not isinstance(name, str):
+            raise ProtocolError(f"{op} needs a 'name' string")
         stored = namespaced(tenant, name)
-        # authorization by recorded ownership, not by prefix shape: a
-        # pre-existing global name that merely *looks* namespaced
-        # (e.g. a local publish of 'acme/web') is not the tenant's
         if not self.tenants.owns(tenant, stored):
             raise NotInRepositoryError("VMI", stored)
+        return stored
+
+    def _retrieve_one(self, tenant: str, name) -> dict:
+        stored = self._owned("retrieve", tenant, name)
         with self.system.repo.lock.read():
             report = self.system.retrieve(stored)
         return {
@@ -640,10 +601,7 @@ class ImageServer:
         }
 
     def _op_retrieve(self, tenant, args) -> dict:
-        name = args.get("name")
-        if not isinstance(name, str):
-            raise ProtocolError("retrieve needs a 'name' string")
-        return self._retrieve_one(tenant, name)
+        return self._retrieve_one(tenant, args.get("name"))
 
     def _tenant_published(self, tenant: str) -> list[str]:
         """The tenant's published (un-namespaced) names, sorted.
@@ -660,42 +618,17 @@ class ImageServer:
 
     def _op_retrieve_many(self, tenant, args) -> dict:
         names = args.get("names")
-        if names is None:
-            names = self._tenant_published(tenant)
-        if not isinstance(names, list):
-            raise ProtocolError(
-                "retrieve-many needs a 'names' list (or null for "
-                "all of the tenant's images)"
-            )
-        results = []
-        simulated = 0.0
-        failed = 0
-        for name in names:
-            try:
-                result = self._retrieve_one(tenant, str(name))
-            except ReproError as exc:
-                failed += 1
-                results.append(
-                    {
-                        "name": name,
-                        "error": error_payload(exc)["error"],
-                    }
-                )
-            else:
-                simulated += result["simulated_seconds"]
-                results.append(result)
-        return {
-            "n_items": len(names),
-            "n_retrieved": len(names) - failed,
-            "n_failed": failed,
-            "simulated_seconds": simulated,
-            "results": results,
-        }
+        return self._each(
+            self._tenant_published(tenant) if names is None else names,
+            "name",
+            "n_retrieved",
+            lambda name: self._retrieve_one(tenant, str(name)),
+            "retrieve-many needs a 'names' list (or null for all of "
+            "the tenant's images)",
+        )
 
-    def _delete_one(self, tenant: str, name: str) -> dict:
-        stored = namespaced(tenant, name)
-        if not self.tenants.owns(tenant, stored):
-            raise NotInRepositoryError("VMI", stored)
+    def _delete_one(self, tenant: str, name) -> dict:
+        stored = self._owned("delete", tenant, name)
         with self.system.repo.lock.write():
             record = self.system.repo.get_vmi_record(stored)
             with self.system.clock.measure() as window:
@@ -711,70 +644,43 @@ class ImageServer:
         }
 
     def _op_delete(self, tenant, args) -> dict:
-        name = args.get("name")
-        if not isinstance(name, str):
-            raise ProtocolError("delete needs a 'name' string")
-        return self._delete_one(tenant, name)
+        return self._delete_one(tenant, args.get("name"))
 
     def _op_delete_many(self, tenant, args) -> dict:
-        names = args.get("names")
-        if not isinstance(names, list):
-            raise ProtocolError("delete-many needs a 'names' list")
-        results = []
-        failed = 0
-        for name in names:
-            try:
-                results.append(self._delete_one(tenant, str(name)))
-            except ReproError as exc:
-                failed += 1
-                results.append(
-                    {
-                        "name": name,
-                        "error": error_payload(exc)["error"],
-                    }
-                )
-        return {
-            "n_items": len(names),
-            "n_deleted": len(names) - failed,
-            "n_failed": failed,
-            "results": results,
-        }
+        reply = self._each(
+            args.get("names"),
+            "name",
+            "n_deleted",
+            lambda name: self._delete_one(tenant, str(name)),
+            "delete-many needs a 'names' list",
+        )
+        # a delete-many reply carries no simulated-seconds total
+        del reply["simulated_seconds"]
+        return reply
 
     def _op_gc(self, tenant, args) -> dict:
         with self.system.repo.lock.write():
             report = self.system.garbage_collect(
                 full=bool(args.get("full", False))
             )
-        return {
-            "mode": report.mode,
-            "reclaimed_bytes": report.reclaimed_bytes,
-            "removed_packages": report.removed_packages,
-            "removed_user_data": report.removed_user_data,
-            "removed_bases": report.removed_bases,
-            "records_scanned": report.records_scanned,
-            "graph_rebuilds": report.graph_rebuilds,
-            "simulated_seconds": report.gc_seconds,
-        }
+        return gc_reply(report)
 
     def _op_fsck(self, tenant, args) -> dict:
         with self.system.repo.lock.read():
             report = self.system.fsck()
-        findings = [str(f) for f in report.findings]
         # the refund clamp records every mismatched credit; surface it
         # alongside the repository checks instead of silently zeroing
         drift_bytes, drift_events = self.tenants.total_drift()
-        if drift_events:
-            findings.append(
+        return fsck_reply(
+            report,
+            [
                 "[quota-drift] tenant-registry: "
                 f"{drift_events} refund event(s) clamped, "
                 f"{drift_bytes} byte(s) unaccounted"
-            )
-        return {
-            "clean": report.clean and not drift_events,
-            "checked_blobs": report.checked_blobs,
-            "checked_vmis": report.checked_vmis,
-            "findings": findings,
-        }
+            ]
+            if drift_events
+            else [],
+        )
 
     def _op_stats(self, tenant, args) -> dict:
         with self.system.repo.lock.read():
@@ -829,16 +735,8 @@ class ImageServer:
         }
 
     def _op_checkpoint(self, tenant, args) -> dict:
-        if self.system.workspace is None:
-            return {"checkpointed": False, "reason": "no workspace"}
         with self.system.repo.lock.write():
-            ops = self.system.workspace.ops_since_checkpoint
-            size = self.system.save()
-        return {
-            "checkpointed": True,
-            "snapshot_bytes": size,
-            "ops_folded": ops,
-        }
+            return checkpoint_reply(self.system)
 
     def _op_shutdown(self, tenant, args) -> dict:
         self.request_shutdown()

@@ -111,20 +111,29 @@ class TestIdentityInterning:
     def test_identity_id_never_pickled(self):
         import pickle
 
+        from repro.model.graph import PackageRole, SemanticGraph
+
         pkg = make_package("redis-server", "3.0.6", installed_size=1000)
-        pkg.identity_id()  # populate the process-local cache
-        assert "_identity_id" in pkg.__dict__
+        # populate every per-instance cache
+        pkg.identity_id()
+        pkg.blob_key()
+        SemanticGraph().add_package(pkg, PackageRole.PRIMARY)
+        caches = {"_identity", "_identity_id", "_blob_key", "_node_key"}
+        assert caches <= set(pkg.__dict__)
         clone = pickle.loads(pickle.dumps(pkg))
         # interned ids are assignment-order dependent: a restored
-        # object must re-intern in its own process, never trust ours
-        assert "_identity_id" not in clone.__dict__
+        # object must re-intern in its own process, never trust ours;
+        # the other caches are pure in the fields, so snapshots and
+        # op-log records do not carry them
+        assert not caches & set(clone.__dict__)
         assert clone == pkg
         assert clone.identity_id() == pkg.identity_id()
+        assert clone.identity == pkg.identity
 
-    def test_blob_key_cache_survives_pickle(self):
+    def test_blob_key_survives_pickle(self):
         import pickle
 
         pkg = make_package("redis-server", "3.0.6", installed_size=1000)
-        key = pkg.blob_key()  # content-stable, safe to carry across
+        key = pkg.blob_key()  # content-stable: re-derived identically
         clone = pickle.loads(pickle.dumps(pkg))
         assert clone.blob_key() == key

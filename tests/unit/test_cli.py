@@ -60,6 +60,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Block (fixed)" in out
 
+    @pytest.mark.parametrize("verb", ["publish", "stats"])
+    def test_unknown_image_clean_error(self, capsys, verb):
+        # the shared corpus selection refuses before anything runs
+        assert main([verb, "Mini", "Bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown corpus image(s): Bogus" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["mine", "rebase"])
+    def test_local_only_verbs_take_no_remote_flags(self, capsys, verb):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb, "--remote", "127.0.0.1:1"])
+        capsys.readouterr()
+        assert main(["--remote", "127.0.0.1:1", verb]) == 2
+        assert "cannot run remotely" in capsys.readouterr().err
+
     def test_stats_command(self, capsys):
         assert main(["stats", "Mini", "Tomcat", "Jenkins"]) == 0
         out = capsys.readouterr().out

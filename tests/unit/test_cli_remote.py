@@ -232,6 +232,11 @@ class TestConflictRules:
             ["retrieve-many", "--parallel", "4"],
             ["retrieve-many", "--cold"],
             ["publish-many", "--scale", "2", "--scan"],
+            ["retrieve-many", "--scale", "50", "--order", "given"],
+            ["gc", "--churn", "50"],
+            ["fsck", "--churn", "50", "--scale", "9"],
+            ["delete", "x", "--gc-threshold-gb", "1", "--checkpoint-every", "3"],
+            ["publish-many", "--order", "given"],
         ],
     )
     def test_local_execution_flags_rejected(self, remote, capsys, argv):
