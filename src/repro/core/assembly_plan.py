@@ -66,6 +66,19 @@ per live VMI record and drops the least recently served plan first, so
 a long-running daemon's churn (deletes, replaced bases) cannot grow
 it.
 
+**Assembled once.**  A plan entry also keeps, per user-data label, the
+image its plan assembled (its *template*): the first execution builds
+it, and later executions clone it
+(:meth:`~repro.model.vmi.VirtualMachineImage.clone`) instead of
+registering every base package and installing every step again.  Every
+execution still looks up each stored part and charges each component,
+in the same order, so errors and simulated seconds are those of a full
+build.  A template is cloned only while the looked-up base and user
+data are the very objects it was built from (packages are
+content-addressed, so a step's key fixes its content); it is dropped
+with its entry, and templates are bounded by the live record count
+like plans.
+
 This is the only implementation of Algorithm 3.  The paper-literal
 derivation — no plans, no caches — lives in the test suite as the
 reference oracle (``tests/algorithm3_oracle.py``): the differential
@@ -252,6 +265,11 @@ class _CacheEntry:
     #: master revision at last successful validation — while it
     #: matches, nothing merged into the master since
     revision: int
+    #: user-data label -> the image this plan assembled with it, cloned
+    #: by later executions (module docstring, "Assembled once")
+    assembled: dict[str | None, VirtualMachineImage] = field(
+        default_factory=dict
+    )
 
 
 @dataclass(frozen=True)
@@ -280,6 +298,8 @@ class AssemblyPlanner:
         #: derivation helpers may take it again.
         self._mutex = threading.RLock()
         self._plans: dict[tuple, _CacheEntry] = {}
+        #: templates held across all entries (bounded like the plans)
+        self._n_assembled = 0
         #: base blobs with a warm local copy; entries are only trusted
         #: while the blob is still stored
         self._warm_bases: set[int] = set()
@@ -292,10 +312,17 @@ class AssemblyPlanner:
         with self._mutex:
             return len(self._plans)
 
+    @property
+    def n_assembled(self) -> int:
+        """Assembled templates held across all cached plans."""
+        with self._mutex:
+            return self._n_assembled
+
     def clear(self) -> None:
-        """Drop every cached plan and warm base copy."""
+        """Drop every cached plan, its templates and warm base copy."""
         with self._mutex:
             self._plans.clear()
+            self._n_assembled = 0
             self._warm_bases.clear()
 
     def plan_for(self, request: RetrievalRequest) -> tuple[AssemblyPlan, bool]:
@@ -309,6 +336,12 @@ class AssemblyPlanner:
             IncompatibleImageError: the requested primary set violates
                 the Algorithm 3 line-2 precondition.
         """
+        entry, hit = self._entry_for(request)
+        return entry.plan, hit
+
+    def _entry_for(
+        self, request: RetrievalRequest
+    ) -> tuple[_CacheEntry, bool]:
         key = request.plan_key()
         with self._mutex:
             entry = self._plans.pop(key, None)
@@ -323,20 +356,36 @@ class AssemblyPlanner:
                     self.stats.plan_hits += 1
                     # re-inserted last: dict order is recency order
                     self._plans[key] = entry
-                    return entry.plan, True
+                    self._trim_assembled()
+                    return entry, True
                 self.stats.plan_invalidations += 1
+                self._n_assembled -= len(entry.assembled)
             plan, revision = self._derive(request)
-            self._plans[key] = _CacheEntry(
+            entry = _CacheEntry(
                 plan=plan,
                 validated_at=self.repo.mutations,
                 revision=revision,
             )
+            self._plans[key] = entry
             # at most one plan per live record: drop the least recently
             # served, so plans of deleted VMIs and replaced bases (never
             # served again) leave first
             while len(self._plans) > max(1, self.repo.vmi_count()):
-                del self._plans[next(iter(self._plans))]
-            return plan, False
+                oldest = self._plans.pop(next(iter(self._plans)))
+                self._n_assembled -= len(oldest.assembled)
+            self._trim_assembled()
+            return entry, False
+
+    def _trim_assembled(self) -> None:  # reprolint: unguarded
+        """At most one template per live record: the templates of the
+        least recently served plans leave first.  Caller holds the
+        mutex."""
+        limit = max(1, self.repo.vmi_count())
+        for entry in self._plans.values():
+            if self._n_assembled <= limit:
+                return
+            self._n_assembled -= len(entry.assembled)
+            entry.assembled.clear()
 
     def _still_valid(self, entry: _CacheEntry) -> bool:
         """Are the inputs the entry's plan was derived from intact?
@@ -437,13 +486,13 @@ class AssemblyPlanner:
         """
         with self._mutex:
             self.stats.requests += 1
-        plan, plan_hit = self.plan_for(request)
+        entry, plan_hit = self._entry_for(request)
         with self.clock.measure() as breakdown:
-            vmi, warm = self._execute(request, plan, cold_base)
+            vmi, warm = self._execute(request, entry, cold_base)
         return PlannedRetrieval(
             report=RetrievalReport(
                 vmi=vmi,
-                imported_packages=plan.imported_names(),
+                imported_packages=entry.plan.imported_names(),
                 breakdown=breakdown,
             ),
             plan_hit=plan_hit,
@@ -451,36 +500,74 @@ class AssemblyPlanner:
         )
 
     def _execute(
-        self, request: RetrievalRequest, plan: AssemblyPlan, cold_base: bool
+        self, request: RetrievalRequest, entry: _CacheEntry, cold_base: bool
     ) -> tuple[VirtualMachineImage, bool]:
-        """Algorithm 3 lines 3-13, replayed from the plan."""
+        """Algorithm 3 lines 3-13, replayed from the plan.
+
+        Every part is looked up and every component charged on every
+        call; the image is built only when the entry holds no template
+        for these very parts, and then becomes the template.
+        """
+        plan = entry.plan
         base = self.repo.get_base_image(plan.base_key)
         warm = self._charge_base_copy(plan, cold_base)
 
         handle = GuestfsHandle(self.clock, self.cost, label="handle")
         handle.launch()
-
-        vmi = VirtualMachineImage(request.name, base)
-        handle.mount(vmi)
-        sysprep(vmi)
         self.clock.advance(self.cost.vmi_reset(), "reset")
 
+        data = None
         if request.data_label is not None:
             data = self.repo.get_user_data(request.data_label)
-            vmi.attach_user_data(data)
             self.clock.advance(self.cost.read_bytes(data.size), "import")
+
+        with self._mutex:
+            template = entry.assembled.get(request.data_label)
+        build = (
+            template is None
+            or template.base is not base
+            or template.user_data is not data
+        )
+        if build:
+            vmi = VirtualMachineImage(request.name, base)
+            sysprep(vmi)
+            if data is not None:
+                vmi.attach_user_data(data)
+        else:
+            vmi = template.clone(request.name)
+        handle.mount(vmi)
 
         for step in plan.installs:
             stored = self.repo.get_package(step.blob_key)
-            vmi.install_package(
-                stored,
-                step.role,
-                auto=step.role is PackageRole.DEPENDENCY,
-            )
+            if build:
+                vmi.install_package(
+                    stored,
+                    step.role,
+                    auto=step.role is PackageRole.DEPENDENCY,
+                )
             self.clock.advance(self.cost.import_package(stored), "import")
 
         handle.shutdown()
+        if build:
+            self._remember(request, entry, vmi)
         return vmi, warm
+
+    def _remember(
+        self,
+        request: RetrievalRequest,
+        entry: _CacheEntry,
+        vmi: VirtualMachineImage,
+    ) -> None:
+        """Keep a private copy of a freshly built image as the entry's
+        template for its data label — unless the entry left the cache
+        meanwhile."""
+        with self._mutex:
+            if self._plans.get(request.plan_key()) is not entry:
+                return
+            if request.data_label not in entry.assembled:
+                self._n_assembled += 1
+            entry.assembled[request.data_label] = vmi.clone(vmi.name)
+            self._trim_assembled()
 
     def _charge_base_copy(self, plan: AssemblyPlan, cold: bool) -> bool:
         """Charge the base-copy component; True when served warm.

@@ -22,7 +22,7 @@ from repro.core.base_selection import (
     SelectionMemo,
     select_base_image,
 )
-from repro.errors import PublishError
+from repro.errors import AlreadyPublishedError
 from repro.image.guestfs import GuestfsHandle
 from repro.model.vmi import VirtualMachineImage
 from repro.repository.master_graphs import MasterGraph
@@ -102,11 +102,12 @@ class VMIPublisher:
         """Run Algorithm 1 on one uploaded VMI.
 
         Raises:
-            PublishError: when the VMI name was already published (names
-                identify uploads in the repository index).
+            AlreadyPublishedError: when the VMI name was already
+                published (names identify uploads in the repository
+                index).
         """
         if self.repo.has_vmi(vmi.name):
-            raise PublishError(f"VMI {vmi.name!r} already published")
+            raise AlreadyPublishedError(vmi.name)
 
         bytes_before = self.repo.total_bytes()
         with self.clock.measure() as breakdown:

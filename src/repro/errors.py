@@ -25,6 +25,7 @@ __all__ = [
     "WorkspaceError",
     "WorkspaceLockedError",
     "PublishError",
+    "AlreadyPublishedError",
     "RetrievalError",
     "IncompatibleImageError",
     "GraphModelError",
@@ -239,6 +240,15 @@ class RemoteError(ServiceError):
 
 class PublishError(ReproError):
     """VMI publishing (Algorithm 1) failed."""
+
+
+class AlreadyPublishedError(PublishError):
+    """A VMI of this name is already published (names identify uploads
+    in the repository index)."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(f"VMI {name!r} already published")
+        self.name = name
 
 
 class RetrievalError(ReproError):

@@ -14,18 +14,20 @@ milliseconds via vectorised set operations instead of per-file Python
 loops — following the vectorisation guidance of the HPC coding guides.
 
 Manifests are value objects: all operations return new manifests and the
-arrays are never mutated after construction.
+arrays are never mutated after construction, so a manifest's total size
+is computed once and memoized (never pickled).
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.ids import content_id
 
-__all__ = ["FileManifest", "SMALL_FILE_THRESHOLD"]
+__all__ = ["FileManifest", "SMALL_FILE_THRESHOLD", "ordered_digest"]
 
 #: Hemera stores files below this size in its database (Section VI-C).
 SMALL_FILE_THRESHOLD: int = 1_000_000
@@ -34,7 +36,7 @@ SMALL_FILE_THRESHOLD: int = 1_000_000
 class FileManifest:
     """Immutable collection of (content id, size, gzip ratio) records."""
 
-    __slots__ = ("_ids", "_sizes", "_ratios")
+    __slots__ = ("_ids", "_sizes", "_ratios", "_total")
 
     def __init__(
         self,
@@ -52,8 +54,23 @@ class FileManifest:
         self._ids = ids
         self._sizes = sz
         self._ratios = rt
+        self._total: int | None = None
         for a in (self._ids, self._sizes, self._ratios):
             a.setflags(write=False)
+
+    def __getstate__(self) -> tuple[None, dict[str, np.ndarray]]:
+        # the total_size memo stays out of snapshots and op-log records:
+        # the state is exactly what an unmemoized manifest pickles to
+        return None, {
+            "_ids": self._ids, "_sizes": self._sizes, "_ratios": self._ratios
+        }
+
+    def __setstate__(self, state: tuple[None, dict[str, np.ndarray]]) -> None:
+        _, slots = state
+        self._ids = slots["_ids"]
+        self._sizes = slots["_sizes"]
+        self._ratios = slots["_ratios"]
+        self._total = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -154,7 +171,11 @@ class FileManifest:
     @property
     def total_size(self) -> int:
         """Sum of file sizes in bytes (the mounted footprint)."""
-        return int(self._sizes.sum()) if self._sizes.size else 0
+        total = self._total
+        if total is None:
+            total = int(self._sizes.sum()) if self._sizes.size else 0
+            self._total = total
+        return total
 
     def compressed_size(self) -> int:
         """Bytes after per-file gzip (the Qcow2+Gzip encoding)."""
@@ -231,3 +252,22 @@ class FileManifest:
             f"<FileManifest files={self.n_files} "
             f"bytes={self.total_size}>"
         )
+
+
+def ordered_digest(manifests: Iterable[FileManifest]) -> str:
+    """Process-stable content digest of manifests laid end to end.
+
+    blake2b over the content-id vectors, then the size vectors, of
+    ``manifests`` in order: exactly the digest of their
+    :meth:`FileManifest.concat`, without building it.  Two file trees
+    are byte-identical iff their digests match, and the digest is
+    stable across processes (``hash()`` is not), so a server reply can
+    be compared with a local retrieval.
+    """
+    manifests = list(manifests)
+    h = hashlib.blake2b(digest_size=16)
+    for m in manifests:
+        h.update(m.content_ids.tobytes())
+    for m in manifests:
+        h.update(m.sizes.tobytes())
+    return h.hexdigest()

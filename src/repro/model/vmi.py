@@ -15,16 +15,20 @@ State model
 * every byte on the guest filesystem belongs to an *owner*: a package,
   the base-OS skeleton, or user data.  Owners map to
   :class:`~repro.image.manifest.FileManifest` objects, so mounted size
-  and file counts are always exact.
+  and file counts are always exact.  Both, and the manifest digest, are
+  computed on first read and dropped by every change to the owner map;
+  :meth:`VirtualMachineImage.clone` shares them with the copy until
+  either side changes its files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import PackageStateError
 from repro.ids import combine
-from repro.image.manifest import FileManifest
+from repro.image.manifest import FileManifest, ordered_digest
 from repro.model.attributes import BaseImageAttrs
 from repro.model.graph import PackageRole, SemanticGraph
 from repro.model.package import Package
@@ -36,7 +40,10 @@ _USERDATA_OWNER = "userdata"
 _RESIDUE_OWNER = "residue"
 
 
+@lru_cache(maxsize=4096)
 def _pkg_owner(name: str) -> str:
+    # one key string per package name, shared by every image's owner
+    # map (a cached plan's templates hold one map each)
     return f"pkg:{name}"
 
 
@@ -100,9 +107,26 @@ class UserData:
         return self.manifest.total_size
 
 
-@dataclass
+class _Footprint:
+    """Lazily computed facts of one owner → manifest map.
+
+    Shared by an image and its clones while none of them changes its
+    files; a change gives the changed image a fresh one, so filling a
+    shared footprint is always filling it with the same values.
+    """
+
+    __slots__ = ("mounted_size", "n_files", "digest")
+
+    def __init__(self) -> None:
+        self.mounted_size: int | None = None
+        self.n_files: int | None = None
+        self.digest: str | None = None
+
+
+@dataclass(slots=True)
 class InstalledPackage:
-    """One row of the guest's installed-package database."""
+    """One row of the guest's installed-package database (slotted: a
+    cached plan's template holds one row per installed package)."""
 
     package: Package
     role: PackageRole
@@ -126,6 +150,7 @@ class VirtualMachineImage:
         self.base = base
         self._installed: dict[str, InstalledPackage] = {}
         self._manifests: dict[str, FileManifest] = {}
+        self._footprint: _Footprint | None = None
         self._manifests[_SKELETON_OWNER] = base.skeleton
         for pkg in base.packages:
             self._register(pkg, PackageRole.BASE_MEMBER, auto=False)
@@ -143,7 +168,15 @@ class VirtualMachineImage:
         from repro.guestos.filesystem import package_manifest
 
         self._installed[pkg.name] = InstalledPackage(pkg, role, auto)
-        self._manifests[_pkg_owner(pkg.name)] = package_manifest(pkg)
+        self._set_owner(_pkg_owner(pkg.name), package_manifest(pkg))
+
+    def _set_owner(self, owner: str, manifest: FileManifest) -> None:
+        self._manifests[owner] = manifest
+        self._footprint = None
+
+    def _drop_owner(self, owner: str) -> FileManifest:
+        self._footprint = None
+        return self._manifests.pop(owner)
 
     def install_package(
         self, pkg: Package, role: PackageRole, *, auto: bool = False
@@ -184,7 +217,7 @@ class VirtualMachineImage:
                 f"{self.name}: {name} belongs to the base OS"
             )
         del self._installed[name]
-        del self._manifests[_pkg_owner(name)]
+        self._drop_owner(_pkg_owner(name))
         return rec.package
 
     def has_package(self, name: str) -> bool:
@@ -240,7 +273,7 @@ class VirtualMachineImage:
         ]
         for name in removed:
             del self._installed[name]
-            del self._manifests[_pkg_owner(name)]
+            self._drop_owner(_pkg_owner(name))
         return removed
 
     # ------------------------------------------------------------------
@@ -251,14 +284,14 @@ class VirtualMachineImage:
         if self.user_data is not None:
             raise PackageStateError(f"{self.name}: user data already attached")
         self.user_data = data
-        self._manifests[_USERDATA_OWNER] = data.manifest
+        self._set_owner(_USERDATA_OWNER, data.manifest)
 
     def detach_user_data(self) -> UserData | None:
         """Remove and return the user data (Algorithm 1 line 11)."""
         data = self.user_data
         if data is not None:
             self.user_data = None
-            del self._manifests[_USERDATA_OWNER]
+            self._drop_owner(_USERDATA_OWNER)
         return data
 
     # ------------------------------------------------------------------
@@ -273,12 +306,13 @@ class VirtualMachineImage:
         repository files")."""
         if _RESIDUE_OWNER in self._manifests:
             raise PackageStateError(f"{self.name}: residue already attached")
-        self._manifests[_RESIDUE_OWNER] = manifest
+        self._set_owner(_RESIDUE_OWNER, manifest)
 
     def clear_residue(self) -> int:
         """Delete residue; returns the bytes removed (0 when clean)."""
-        manifest = self._manifests.pop(_RESIDUE_OWNER, None)
-        return manifest.total_size if manifest is not None else 0
+        if _RESIDUE_OWNER not in self._manifests:
+            return 0
+        return self._drop_owner(_RESIDUE_OWNER).total_size
 
     @property
     def residue_size(self) -> int:
@@ -293,15 +327,63 @@ class VirtualMachineImage:
         """Every file on the guest, duplicates (hard links) preserved."""
         return FileManifest.concat(list(self._manifests.values()))
 
+    def _facts(self) -> _Footprint:
+        footprint = self._footprint
+        if footprint is None:
+            footprint = self._footprint = _Footprint()
+        return footprint
+
     @property
     def mounted_size(self) -> int:
         """Bytes of the mounted filesystem (Table II column 3)."""
-        return sum(m.total_size for m in self._manifests.values())
+        facts = self._facts()
+        size = facts.mounted_size
+        if size is None:
+            size = facts.mounted_size = sum(
+                m.total_size for m in self._manifests.values()
+            )
+        return size
 
     @property
     def n_files(self) -> int:
         """File count of the guest filesystem (Table II column 4)."""
-        return sum(m.n_files for m in self._manifests.values())
+        facts = self._facts()
+        count = facts.n_files
+        if count is None:
+            count = facts.n_files = sum(
+                m.n_files for m in self._manifests.values()
+            )
+        return count
+
+    def manifest_digest(self) -> str:
+        """:func:`~repro.image.manifest.ordered_digest` of every file on
+        the guest — the digest of :meth:`full_manifest`."""
+        facts = self._facts()
+        digest = facts.digest
+        if digest is None:
+            digest = facts.digest = ordered_digest(self._manifests.values())
+        return digest
+
+    def clone(self, name: str) -> "VirtualMachineImage":
+        """An independent copy of this image named ``name``.
+
+        The copy gets its own installed-row table (new
+        :class:`InstalledPackage` rows, so a role change on one image
+        never shows on the other) and its own owner map over the same
+        immutable manifests, and shares the lazily computed
+        footprint until either image changes its files.
+        """
+        twin = VirtualMachineImage.__new__(VirtualMachineImage)
+        twin.name = name
+        twin.base = self.base
+        twin._installed = {
+            key: InstalledPackage(row.package, row.role, row.auto)
+            for key, row in self._installed.items()
+        }
+        twin._manifests = dict(self._manifests)
+        twin._footprint = self._facts()
+        twin.user_data = self.user_data
+        return twin
 
     # ------------------------------------------------------------------
     # semantic graph (Section III-B)

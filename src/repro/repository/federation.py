@@ -57,8 +57,8 @@ from typing import Sequence
 from repro.analysis.mining import MiningReport
 from repro.core.system import Expelliarmus
 from repro.errors import (
+    AlreadyPublishedError,
     NotInRepositoryError,
-    PublishError,
     WorkspaceError,
 )
 from repro.ids import content_id
@@ -436,7 +436,8 @@ class FederatedRepository:
 
         Raises:
             ProtocolError: separator-ambiguous or empty name.
-            PublishError: name already published (on any shard).
+            AlreadyPublishedError: name already published (on any
+                shard).
         """
         validate_stored_name(vmi.name)
         with self.lock.write():
@@ -444,7 +445,7 @@ class FederatedRepository:
 
     def _publish_routed(self, vmi: VirtualMachineImage):
         if vmi.name in self._names:
-            raise PublishError(f"VMI {vmi.name!r} already published")
+            raise AlreadyPublishedError(vmi.name)
         family = family_of(vmi.base.attrs)
         shard = self.shard_for_family(family)
         report = self.systems[shard].publish(vmi)
@@ -507,7 +508,7 @@ class FederatedRepository:
             if vmi.name in self._names or (
                 batch_shard.setdefault(vmi.name, shard) != shard
             ):
-                raise PublishError(f"VMI {vmi.name!r} already published")
+                raise AlreadyPublishedError(vmi.name)
             # steer the rest of this batch's family members here
             self._family_home.setdefault(family, shard)
             return shard, vmi

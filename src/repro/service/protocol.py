@@ -46,7 +46,6 @@ and a remote result print through one printer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import struct
@@ -54,6 +53,7 @@ from typing import Sequence
 
 from repro.errors import (
     AdmissionRejectedError,
+    AlreadyPublishedError,
     LockTimeoutError,
     NotInRepositoryError,
     ProtocolError,
@@ -64,6 +64,7 @@ from repro.errors import (
     WorkspaceError,
     WorkspaceLockedError,
 )
+from repro.image.manifest import FileManifest, ordered_digest
 
 __all__ = [
     "ADMISSION_CODES",
@@ -335,19 +336,10 @@ def select_corpus(
     return table2_source(), list(names or TABLE_II_ORDER)
 
 
-def manifest_digest(manifest) -> str:
-    """Process-stable content digest of a file manifest.
-
-    blake2b over the manifest's content-id and size vectors — two
-    manifests are byte-identical iff their digests match, and the
-    digest is stable across processes (``hash()`` is not), so the
-    differential suite can compare a server response against a local
-    retrieval.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(manifest.content_ids.tobytes())
-    h.update(manifest.sizes.tobytes())
-    return h.hexdigest()
+def manifest_digest(manifest: FileManifest) -> str:
+    """The wire's ``manifest_digest`` of one manifest
+    (:func:`~repro.image.manifest.ordered_digest`)."""
+    return ordered_digest((manifest,))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +447,8 @@ def error_payload(exc: BaseException) -> dict:
         )
     elif isinstance(exc, ProtocolError):
         error.update(code="bad-request")
+    elif isinstance(exc, AlreadyPublishedError):
+        error.update(code="already-published", name=exc.name)
     elif isinstance(exc, RemoteError):
         error.update(code=exc.code)
     elif isinstance(exc, ReproError):  # reprolint: generic
@@ -496,6 +490,8 @@ def exception_from_payload(error: dict) -> ReproError:
         )
     if code == "bad-request":
         return ProtocolError(message)
+    if code == "already-published":
+        return AlreadyPublishedError(error.get("name", "?"))
     if code == "lock-timeout":
         return RemoteError(code, message)
     return RemoteError(code, message)

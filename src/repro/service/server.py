@@ -67,7 +67,6 @@ from repro.service.protocol import (
     error_payload,
     fsck_reply,
     gc_reply,
-    manifest_digest,
     ok_payload,
     open_corpus,
     publish_reply,
@@ -591,9 +590,7 @@ class ImageServer:
             "name": name,
             "stored_name": stored,
             "simulated_seconds": report.retrieval_time,
-            "manifest_digest": manifest_digest(
-                report.vmi.full_manifest()
-            ),
+            "manifest_digest": report.vmi.manifest_digest(),
             "imported_packages": list(report.imported_packages),
             "mounted_size": report.vmi.mounted_size,
             "n_files": report.vmi.n_files,

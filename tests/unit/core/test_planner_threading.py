@@ -17,6 +17,7 @@ from algorithm3_oracle import reference_retrieve
 
 from repro.core.assembly_plan import RETRIEVAL_COMPONENTS, RetrievalRequest
 from repro.core.system import Expelliarmus
+from repro.model.graph import PackageRole
 
 N_THREADS = 8
 ROUNDS = 25
@@ -191,3 +192,48 @@ def test_shared_selection_memo_survives_concurrent_publish_shards(
     # content-addressed convergence: one stored base per distinct blob
     keys = [b.blob_key() for b in system.repo.base_images()]
     assert len(keys) == len(set(keys))
+
+
+def test_assembled_templates_survive_racing_callers(scale_corpus_factory):
+    """Racing retrievals share each plan's template: every caller gets
+    its own image (mutating it changes no other), digests filled in
+    concurrently are the single-threaded ones, and the template count
+    matches what the entries hold, within the live-record bound."""
+    system, names = _published_system(scale_corpus_factory)
+
+    def observe(vmi):
+        return (
+            vmi.manifest_digest(),
+            vmi.mounted_size,
+            [(r.name, r.role, r.auto) for r in vmi.installed_packages()],
+        )
+
+    reference = {
+        name: observe(reference_retrieve(system, name).vmi)
+        for name in names
+    }
+    mismatches = []
+
+    def worker(index: int):
+        for round_ in range(ROUNDS):
+            name = names[(index + round_) % len(names)]
+            vmi = system.retrieve(name).vmi
+            if observe(vmi) != reference[name]:  # pragma: no cover
+                mismatches.append(name)
+            # callers own what they get back
+            for row in vmi.installed_packages():
+                row.role = PackageRole.PRIMARY
+            vmi.detach_user_data()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
+            list(pool.map(worker, range(2 * N_THREADS)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not mismatches
+    planner = system.planner
+    held = sum(len(e.assembled) for e in planner._plans.values())
+    assert planner.n_assembled == held == len(names)
+    assert held <= system.repo.vmi_count()

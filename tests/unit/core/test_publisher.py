@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PublishError
+from repro.errors import AlreadyPublishedError, PublishError
 from repro.image.builder import BuildRecipe
 from repro.repository.blobstore import BlobKind
 
@@ -50,8 +50,10 @@ class TestSecondPublish:
         self, mini_system, mini_builder, redis_recipe
     ):
         mini_system.publish(mini_builder.build(redis_recipe))
-        with pytest.raises(PublishError):
+        with pytest.raises(AlreadyPublishedError) as caught:
             mini_system.publish(mini_builder.build(redis_recipe))
+        assert isinstance(caught.value, PublishError)
+        assert caught.value.name == "redis-vm"
 
     def test_identical_content_adds_only_user_data(
         self, mini_system, mini_builder, redis_recipe

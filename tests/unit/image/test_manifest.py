@@ -1,9 +1,16 @@
 """Unit tests for FileManifest."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.image.manifest import SMALL_FILE_THRESHOLD, FileManifest
+from repro.image.manifest import (
+    SMALL_FILE_THRESHOLD,
+    FileManifest,
+    ordered_digest,
+)
+from repro.service.protocol import manifest_digest
 
 
 class TestConstruction:
@@ -130,3 +137,46 @@ class TestOperations:
         assert hash(a) == hash(b)
         assert a != FileManifest.from_records([(2, 10, 0.5)])
         assert len(a) == 1
+
+
+class TestMemoizedTotal:
+    def test_total_size_memo_never_pickled(self):
+        m = FileManifest.synthesize("memo", 40, 1_000_000)
+        unmemoized = pickle.dumps(m)
+        assert m.total_size == 1_000_000
+        # the memo leaves the pickled form exactly as it was
+        assert pickle.dumps(m) == unmemoized
+        _, slots = m.__getstate__()
+        assert sorted(slots) == ["_ids", "_ratios", "_sizes"]
+        restored = pickle.loads(unmemoized)
+        assert restored == m
+        assert restored.total_size == 1_000_000
+
+    def test_state_without_memo_loads(self):
+        """A manifest pickled before the memo existed carries only its
+        three arrays."""
+        m = FileManifest.from_records([(1, 10, 0.5), (2, 20, 0.25)])
+        legacy = FileManifest.__new__(FileManifest)
+        legacy.__setstate__(
+            (None, {"_ids": m.content_ids, "_sizes": m.sizes,
+                    "_ratios": m.gzip_ratios})
+        )
+        assert legacy == m
+        assert legacy.total_size == 30
+
+
+class TestOrderedDigest:
+    def test_equals_the_digest_of_the_concatenation(self):
+        parts = [
+            FileManifest.synthesize("a", 5, 5_000),
+            FileManifest.empty(),
+            FileManifest.synthesize("b", 7, 9_000),
+        ]
+        assert ordered_digest(parts) == manifest_digest(
+            FileManifest.concat(parts)
+        )
+
+    def test_order_matters(self):
+        a = FileManifest.synthesize("a", 5, 5_000)
+        b = FileManifest.synthesize("b", 7, 9_000)
+        assert ordered_digest([a, b]) != ordered_digest([b, a])

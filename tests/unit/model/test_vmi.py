@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PackageStateError
-from repro.image.manifest import FileManifest
+from repro.image.manifest import FileManifest, ordered_digest
 from repro.model.graph import PackageRole
 from repro.model.package import DependencySpec, make_package
 from repro.model.vmi import BaseImage, UserData, VirtualMachineImage
@@ -179,6 +179,65 @@ class TestFootprint:
         m = vmi.full_manifest()
         assert m.n_files == vmi.n_files
         assert m.total_size == vmi.mounted_size
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda v: v.install_package(app_pkg("extra"), PackageRole.PRIMARY),
+            lambda v: v.remove_package("app"),
+            lambda v: v.remove_unused_dependencies(),
+            lambda v: v.detach_user_data(),
+            lambda v: v.attach_residue(FileManifest.synthesize("r", 3, 9_000)),
+        ],
+        ids=["install", "remove", "autoremove", "detach", "residue"],
+    )
+    def test_memoized_footprint_follows_every_change(self, change):
+        """Size, file count and digest are read once, then dropped by
+        any change to the guest's files."""
+        vmi = make_vmi()
+        vmi.install_package(app_pkg("lib"), PackageRole.DEPENDENCY, auto=True)
+        vmi.install_package(app_pkg(), PackageRole.PRIMARY)
+        vmi.attach_user_data(
+            UserData("d", FileManifest.synthesize("d", 4, 40_000))
+        )
+        before = (vmi.mounted_size, vmi.n_files, vmi.manifest_digest())
+        change(vmi)
+        m = vmi.full_manifest()
+        assert (vmi.mounted_size, vmi.n_files) == (m.total_size, m.n_files)
+        assert vmi.manifest_digest() == ordered_digest([m])
+        assert (vmi.mounted_size, vmi.n_files, vmi.manifest_digest()) != before
+
+
+class TestClone:
+    def _vmi(self):
+        vmi = make_vmi()
+        vmi.install_package(app_pkg("lib"), PackageRole.DEPENDENCY, auto=True)
+        vmi.install_package(app_pkg(), PackageRole.PRIMARY)
+        return vmi
+
+    def test_clone_is_an_equal_image_under_a_new_name(self):
+        vmi = self._vmi()
+        twin = vmi.clone("twin")
+        assert twin.name == "twin"
+        assert twin.base is vmi.base
+        assert twin.full_manifest() == vmi.full_manifest()
+        assert twin.manifest_digest() == vmi.manifest_digest()
+        assert [
+            (r.name, r.role, r.auto) for r in twin.installed_packages()
+        ] == [(r.name, r.role, r.auto) for r in vmi.installed_packages()]
+
+    def test_changes_to_a_clone_stay_on_the_clone(self):
+        vmi = self._vmi()
+        digest, size = vmi.manifest_digest(), vmi.mounted_size
+        twin = vmi.clone("twin")
+        twin.installed("lib").role = PackageRole.PRIMARY
+        twin.remove_package("app")
+        twin.attach_residue(FileManifest.synthesize("r", 3, 9_000))
+        assert vmi.installed("lib").role is PackageRole.DEPENDENCY
+        assert vmi.has_package("app")
+        assert vmi.residue_size == 0
+        assert (vmi.manifest_digest(), vmi.mounted_size) == (digest, size)
+        assert twin.mounted_size == twin.full_manifest().total_size
 
 
 class TestDecompositionSupport:

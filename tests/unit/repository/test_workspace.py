@@ -80,6 +80,31 @@ class TestLifecycle:
         ]
         reopened.close()
 
+    def test_memoized_totals_never_grow_the_snapshot(
+        self, mini_builder, tmp_path
+    ):
+        """Manifest size memos (filled by publish and retrieval) stay
+        out of the snapshot: it names no memo slot, and a reopened
+        store checkpoints to the same bytes before and after every
+        total is read again."""
+        system = Expelliarmus.open(tmp_path / "store")
+        _publish(system, mini_builder, "redis-vm")
+        _publish(system, mini_builder, "nginx-vm", ("nginx",))
+        published = system.save()
+        assert b"_total" not in system.workspace.snapshot_path.read_bytes()
+        system.close()
+
+        reopened = Expelliarmus.open(tmp_path / "store")
+        unmemoized = reopened.save()
+        snapshot = reopened.workspace.snapshot_path.read_bytes()
+        for name in reopened.published_names():
+            reopened.retrieve(name).vmi.mounted_size
+        for data in reopened.repo.stored_user_data():
+            assert data.size > 0
+        assert reopened.save() == unmemoized == published
+        assert reopened.workspace.snapshot_path.read_bytes() == snapshot
+        reopened.close()
+
     def test_checkpoint_if_due_policy(self, mini_builder, tmp_path):
         system = Expelliarmus.open(tmp_path / "store")
         assert not system.checkpoint_if_due(None)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import (
     AdmissionRejectedError,
+    AlreadyPublishedError,
     LockTimeoutError,
     NotInRepositoryError,
     ProtocolError,
@@ -267,6 +268,15 @@ class TestErrorMapping:
         assert isinstance(
             exception_from_payload(error), ProtocolError
         )
+
+    def test_already_published_round_trip(self):
+        error = error_payload(AlreadyPublishedError("acme/web"))["error"]
+        assert error["code"] == "already-published"
+        assert error["name"] == "acme/web"
+        restored = exception_from_payload(error)
+        assert isinstance(restored, AlreadyPublishedError)
+        assert restored.name == "acme/web"
+        assert str(restored) == "VMI 'acme/web' already published"
 
     def test_generic_repro_error(self):
         error = error_payload(ReproError("boom"))["error"]

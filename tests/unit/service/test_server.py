@@ -193,7 +193,7 @@ class TestPublishRetrieveDelete:
             _call(server, "publish", source=SOURCE, item=0)
         )
         response = _call(server, "publish", source=SOURCE, item=0)
-        assert response["ok"] is False
+        assert _error(response)["code"] == "already-published"
         # the failed attempt must not leak reserved quota
         usage = server.tenants.usage("acme")
         assert usage.bytes_stored == first["charged_bytes"]
@@ -219,6 +219,18 @@ class TestBatchOps:
         assert failures[0]["item"] == 99
         assert failures[0]["error"]["code"] == "bad-request"
         assert result["simulated_seconds"] > 0
+
+    def test_publish_many_duplicate_rows_report_already_published(self):
+        server = _server()
+        _result(_call(server, "publish", source=SOURCE, item=0))
+        result = _result(
+            _call(server, "publish-many", source=SOURCE, items=[0, 1])
+        )
+        assert result["n_published"] == 1
+        (failure,) = [r for r in result["results"] if "error" in r]
+        assert failure["item"] == 0
+        assert failure["error"]["code"] == "already-published"
+        assert failure["error"]["name"] == "acme/vmi-00000"
 
     def test_retrieve_many_defaults_to_tenant_catalogue(self):
         server = _server()
