@@ -795,8 +795,7 @@ def _print_remote_batch(args, verb, replies, status) -> int:
     rows = [row for reply in replies for row in reply["results"]]
     done = [row for row in rows if "error" not in row]
     for position, row in enumerate(rows, start=1):
-        # a publish row names its corpus item, and its stored image
-        # once published
+        # a publish row names its corpus item, and its image once built
         name = row.get("name", row.get("item"))
         error = row.get("error")
         if error is not None:

@@ -23,9 +23,9 @@ outcome byte-identical to a single repository:
   maps every stored family to the shard holding its bases.  Publishes
   consult it *before* per-shard selection: a base stored on any shard
   steers the whole family's future publishes to that shard, so
-  cross-shard dedup never regresses storage.  The index is rebuilt from
-  the shards themselves (never trusted blindly); federation fsck flags
-  drift between index and shards.
+  cross-shard dedup never regresses storage.  The router keeps no copy
+  of it: every lookup (a family's home, a name's shard) is read from
+  the shards themselves, lowest shard index first.
 * **Rebalance.**  Moving a family between shards is a journaled,
   idempotent copy-then-delete: an intent file makes the operation
   crash-recoverable (reopen re-runs the move), and every sub-operation
@@ -34,8 +34,7 @@ outcome byte-identical to a single repository:
   converges.
 * **Maintenance.**  GC runs shard-local (incremental by default);
   federation fsck runs every per-shard check plus the cross-shard
-  invariants (no split families, no duplicate names, no index drift,
-  no tenant quota drift).
+  invariants (no split families, no duplicate names).
 
 The facade mirrors the :class:`Expelliarmus` surface (publish /
 retrieve / delete, the ``*_many`` batch pipelines, GC, fsck, save /
@@ -68,10 +67,12 @@ from repro.repository.fsck import FsckReport, Inconsistency
 from repro.repository.gc import GCReport
 from repro.repository.locking import RepositoryLock
 from repro.repository.master_graphs import master_from_state, master_state
+from repro.repository.persistence import replace_atomically
 from repro.service.batch import BatchPublishReport, publish_batch
 from repro.service.executor import (
     Progress,
     check_options,
+    merge_reports,
     route,
 )
 from repro.service.maintenance import DeleteItemResult, MaintenanceReport
@@ -271,8 +272,6 @@ class FederatedRepository:
         #: federation-level lock the service layer takes around
         #: facade operations; shard locks nest strictly underneath
         self.lock = RepositoryLock()
-        self._names: dict[str, int] = {}
-        self._family_home: dict[Family, int] = {}
         if self.root is None:
             self.systems = [
                 Expelliarmus(clock=self.clock, **system_kwargs)
@@ -288,7 +287,6 @@ class FederatedRepository:
             self._write_manifest()
             self._recover_rebalance()
         self.cost = self.systems[0].cost
-        self._rebuild_routing()
 
     @classmethod
     def open(cls, path, *, shards: int | None = None, **system_kwargs):
@@ -311,8 +309,12 @@ class FederatedRepository:
         return self.root / f"shard-{index:02d}"
 
     # ------------------------------------------------------------------
-    # routing (the global base-image index)
+    # routing (the global base-image index, read from the shards)
     # ------------------------------------------------------------------
+    #
+    # The shards are the only source of truth.  On conflicting
+    # placements (a split family / duplicate name, which fsck flags) the
+    # lowest shard index wins deterministically.
 
     @property
     def base_index(self) -> dict[Family, int]:
@@ -322,12 +324,16 @@ class FederatedRepository:
         stored on *any* shard steers its whole family's publishes
         there, which is what keeps cross-shard dedup lossless.
         """
-        return dict(self._family_home)
+        index: dict[Family, int] = {}
+        for shard, system in enumerate(self.systems):
+            for base in system.repo.base_images():
+                index.setdefault(family_of(base.attrs), shard)
+        return index
 
     def shard_for_family(self, family: Family) -> int:
         """Where a family's publishes go: stored home, then rebalance
         override, then rendezvous hash."""
-        home = self._family_home.get(family)
+        home = self._stored_home(family)
         if home is not None:
             return home
         override = self._overrides.get(family)
@@ -335,33 +341,30 @@ class FederatedRepository:
             return override
         return route_family(family, self.n_shards)
 
+    def _stored_home(self, family: Family) -> int | None:
+        """The lowest-index shard storing a base of ``family``."""
+        return next(
+            (
+                index
+                for index, system in enumerate(self.systems)
+                if system.repo.stores_family(*family)
+            ),
+            None,
+        )
+
     def shard_of(self, name: str) -> int:
-        """The shard holding a published VMI.
+        """The lowest-index shard holding a published VMI.
 
         Raises:
             NotInRepositoryError: unpublished name.
         """
-        shard = self._names.get(name)
-        if shard is None:
-            raise NotInRepositoryError("VMI", name)
-        return shard
-
-    def _rebuild_routing(self) -> None:
-        """Re-derive the name and base indexes from the shards.
-
-        The shards are the source of truth — the router never trusts
-        its own maps across GC, rebalance, reopen or a raised batch.
-        On conflicting placements (a split family / duplicate name,
-        which fsck flags) the lowest shard index wins deterministically.
-        """
-        self._family_home = {}
-        self._names = {}
         for index, system in enumerate(self.systems):
-            repo = system.repo
-            for base in repo.base_images():
-                self._family_home.setdefault(family_of(base.attrs), index)
-            for record in repo.vmi_records():
-                self._names.setdefault(record.name, index)
+            if system.repo.has_vmi(name):
+                return index
+        raise NotInRepositoryError("VMI", name)
+
+    def _is_published(self, name: str) -> bool:
+        return any(system.repo.has_vmi(name) for system in self.systems)
 
     # ------------------------------------------------------------------
     # manifest + rebalance journal persistence
@@ -395,10 +398,11 @@ class FederatedRepository:
                 for fam, shard in sorted(self._overrides.items())
             },
         }
-        path = self.root / MANIFEST_NAME
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        tmp.replace(path)
+        manifest = json.dumps(payload, indent=2, sort_keys=True)
+        replace_atomically(
+            self.root / MANIFEST_NAME,
+            lambda file: file.write(manifest.encode()),
+        )
 
     def _recover_rebalance(self) -> None:
         """Finish a rebalance a crash interrupted (reopen path).
@@ -444,14 +448,10 @@ class FederatedRepository:
             return self._publish_routed(vmi)
 
     def _publish_routed(self, vmi: VirtualMachineImage):
-        if vmi.name in self._names:
+        if self._is_published(vmi.name):
             raise AlreadyPublishedError(vmi.name)
-        family = family_of(vmi.base.attrs)
-        shard = self.shard_for_family(family)
-        report = self.systems[shard].publish(vmi)
-        self._names[vmi.name] = shard
-        self._family_home.setdefault(family, shard)
-        return report
+        shard = self.shard_for_family(family_of(vmi.base.attrs))
+        return self.systems[shard].publish(vmi)
 
     def retrieve(self, name: str):
         """Route one retrieval to the shard holding the VMI.
@@ -470,9 +470,7 @@ class FederatedRepository:
             NotInRepositoryError: unpublished name.
         """
         with self.lock.write():
-            shard = self.shard_of(name)
-            self.systems[shard].delete(name)
-            del self._names[name]
+            self.systems[self.shard_of(name)].delete(name)
 
     # ------------------------------------------------------------------
     # batch pipelines (one modelled worker per shard)
@@ -501,32 +499,21 @@ class FederatedRepository:
 
         def place(vmi: VirtualMachineImage):
             validate_stored_name(vmi.name)
-            family = family_of(vmi.base.attrs)
-            shard = self.shard_for_family(family)
+            shard = self.shard_for_family(family_of(vmi.base.attrs))
             # a same-shard duplicate fails inside the shard's run; a
             # cross-shard one must fail here or both copies would land
-            if vmi.name in self._names or (
+            if self._is_published(vmi.name) or (
                 batch_shard.setdefault(vmi.name, shard) != shard
             ):
                 raise AlreadyPublishedError(vmi.name)
-            # steer the rest of this batch's family members here
-            self._family_home.setdefault(family, shard)
             return shard, vmi
 
         with self.lock.write():
-            try:
-                report = publish_batch(
-                    [system.publisher for system in self.systems], vmis,
-                    order=order, progress=progress, on_error=on_error,
-                    place=place, total_bytes=self.total_bytes,
-                )
-            except BaseException:
-                self._rebuild_routing()  # the items stored before it
-                raise
-            for item in report.results:
-                if item.ok:
-                    self._names[item.name] = batch_shard[item.name]
-            return report
+            return publish_batch(
+                [system.publisher for system in self.systems], vmis,
+                order=order, progress=progress, on_error=on_error,
+                place=place, total_bytes=self.total_bytes,
+            )
 
     def retrieve_many(
         self,
@@ -598,21 +585,14 @@ class FederatedRepository:
                 lambda pos, name, error: DeleteItemResult(pos, name, error),
                 self.n_shards, on_error=on_error, progress=tracker,
             )
-            try:
-                outcomes = [
-                    run_shard(index, items)
-                    for index, items in enumerate(shards) if items
-                ]
-            except BaseException:
-                self._rebuild_routing()  # the items deleted before it
-                raise
+            outcomes = [
+                run_shard(index, items)
+                for index, items in enumerate(shards) if items
+            ]
             results = sorted(
                 [*failed, *(r for ran, _ in outcomes for r in ran)],
                 key=lambda item: item.position,
             )
-            for item in results:
-                if item.ok:
-                    self._names.pop(item.name, None)
             reports = [r for _, r in outcomes]
             return MaintenanceReport(
                 results=tuple(results),
@@ -632,22 +612,8 @@ class FederatedRepository:
         """Run (incremental by default) GC on every shard; merged
         report."""
         with self.lock.write():
-            reports = [
-                system.garbage_collect(full=full)
-                for system in self.systems
-            ]
-            self._rebuild_routing()
-            return GCReport(
-                removed_packages=sum(r.removed_packages for r in reports),
-                removed_user_data=sum(
-                    r.removed_user_data for r in reports
-                ),
-                removed_bases=sum(r.removed_bases for r in reports),
-                reclaimed_bytes=sum(r.reclaimed_bytes for r in reports),
-                mode="full" if full else "incremental",
-                records_scanned=sum(r.records_scanned for r in reports),
-                graph_rebuilds=sum(r.graph_rebuilds for r in reports),
-                gc_seconds=sum(r.gc_seconds for r in reports),
+            return merge_reports(
+                [system.garbage_collect(full=full) for system in self.systems]
             )
 
     def mine_bases(self) -> MiningReport:
@@ -659,18 +625,14 @@ class FederatedRepository:
         back globally re-ranked by estimated bytes saved.
         """
         with self.lock.read():
-            reports = [system.mine_bases() for system in self.systems]
-            candidates = [
-                c for report in reports for c in report.candidates
-            ]
-            candidates.sort(key=lambda c: -c.est_saved_bytes)
-            return MiningReport(
-                candidates=tuple(candidates),
-                groups_examined=sum(
-                    r.groups_examined for r in reports
+            report = merge_reports(
+                [system.mine_bases() for system in self.systems]
+            )
+            return replace(
+                report,
+                candidates=tuple(
+                    sorted(report.candidates, key=lambda c: -c.est_saved_bytes)
                 ),
-                bases_examined=sum(r.bases_examined for r in reports),
-                mining_seconds=sum(r.mining_seconds for r in reports),
             )
 
     def rebase(self, mining: MiningReport | None = None) -> RebaseReport:
@@ -684,45 +646,18 @@ class FederatedRepository:
         resolve it as stale and skip it.
         """
         with self.lock.write():
-            reports = [
-                system.rebase(mining) for system in self.systems
-            ]
-            self._rebuild_routing()
-            return RebaseReport(
-                candidates_applied=sum(
-                    r.candidates_applied for r in reports
-                ),
-                bases_published=sum(
-                    r.bases_published for r in reports
-                ),
-                bases_removed=sum(r.bases_removed for r in reports),
-                migrated_vmis=sum(r.migrated_vmis for r in reports),
-                migrated_names=tuple(
-                    name
-                    for report in reports
-                    for name in report.migrated_names
-                ),
-                bytes_before=sum(r.bytes_before for r in reports),
-                bytes_after=sum(r.bytes_after for r in reports),
-                reclaimable_after=sum(
-                    r.reclaimable_after for r in reports
-                ),
-                recovered=any(r.recovered for r in reports),
-                rebase_seconds=sum(r.rebase_seconds for r in reports),
+            return merge_reports(
+                [system.rebase(mining) for system in self.systems]
             )
 
-    def fsck(self, *, registry=None) -> FsckReport:
+    def fsck(self) -> FsckReport:
         """Every per-shard check plus the cross-shard invariants.
 
         Per-shard findings come back subject-prefixed with their shard
         (``shard-00:…``); the federation adds ``federation-split-family``
         (a family's bases on more than one shard — Algorithm 2 would
-        see a partial candidate set), ``federation-name-collision``
-        (one name published on two shards) and
-        ``federation-index-drift`` (router maps diverge from the
-        shards).  With a ``registry``
-        (:class:`~repro.service.tenancy.TenantRegistry`), quota drift
-        the refund clamp recorded is flagged as ``quota-drift``.
+        see a partial candidate set) and ``federation-name-collision``
+        (one name published on two shards).
         """
         with self.lock.read():
             findings: list[Inconsistency] = []
@@ -739,17 +674,6 @@ class FederatedRepository:
                     for f in report.findings
                 )
             findings.extend(self._cross_shard_findings())
-            if registry is not None:
-                drift_bytes, drift_events = registry.total_drift()
-                if drift_events:
-                    findings.append(
-                        Inconsistency(
-                            "quota-drift",
-                            "tenant-registry",
-                            f"{drift_events} refund event(s) clamped, "
-                            f"{drift_bytes} byte(s) unaccounted",
-                        )
-                    )
             return FsckReport(
                 findings=tuple(findings),
                 checked_blobs=checked_blobs,
@@ -787,26 +711,6 @@ class FederatedRepository:
                         f"published on shards {sorted(shards)}",
                     )
                 )
-            routed = self._names.get(name)
-            if routed not in shards:
-                findings.append(
-                    Inconsistency(
-                        "federation-index-drift",
-                        name,
-                        f"router maps to shard {routed}, "
-                        f"stored on {sorted(shards)}",
-                    )
-                )
-        for name, routed in sorted(self._names.items()):
-            if name not in name_shards:
-                findings.append(
-                    Inconsistency(
-                        "federation-index-drift",
-                        name,
-                        f"router maps to shard {routed}, "
-                        "but no shard stores it",
-                    )
-                )
         return findings
 
     def rebalance(self, family, target: int) -> RebalanceReport:
@@ -834,19 +738,15 @@ class FederatedRepository:
                 f"(federation has {self.n_shards})"
             )
         with self.lock.write():
-            source = self._family_home.get(family)
+            source = self._stored_home(family)
             if self.root is not None:
-                intent = self.root / INTENT_NAME
-                tmp = intent.with_suffix(".tmp")
-                tmp.write_text(
-                    json.dumps(
-                        {
-                            "family": "/".join(family),
-                            "target": target,
-                        }
-                    )
+                intent = json.dumps(
+                    {"family": "/".join(family), "target": target}
                 )
-                tmp.replace(intent)
+                replace_atomically(
+                    self.root / INTENT_NAME,
+                    lambda file: file.write(intent.encode()),
+                )
             moved_vmis, moved_bases, moved_bytes = self._move_family(
                 family, target
             )
@@ -854,10 +754,9 @@ class FederatedRepository:
             self._write_manifest()
             if self.root is not None:
                 (self.root / INTENT_NAME).unlink(missing_ok=True)
-            self._rebuild_routing()
             return RebalanceReport(
                 family=family,
-                source=source if source != target else source,
+                source=source,
                 target=target,
                 moved_vmis=moved_vmis,
                 moved_bases=moved_bases,
@@ -1075,5 +974,5 @@ class FederatedRepository:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<FederatedRepository shards={self.n_shards} "
-            f"vmis={len(self._names)} bytes={self.total_bytes()}>"
+            f"vmis={len(self.vmi_records())} bytes={self.total_bytes()}>"
         )

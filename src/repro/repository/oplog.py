@@ -41,6 +41,7 @@ from pathlib import Path
 
 from repro.errors import WorkspaceError
 from repro.repository.master_graphs import master_from_state
+from repro.repository.persistence import replace_atomically
 from repro.repository.repo import Repository
 
 __all__ = [
@@ -187,18 +188,16 @@ class OpLog:
         one — never an unopenable workspace.
         """
         path = Path(path)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as file:
-            pickle.dump(
-                {
-                    "oplog": _OPLOG_VERSION,
-                    "snapshot_mutations": snapshot_mutations,
-                },
-                file,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            file.flush()
-        os.replace(tmp, path)
+        header = {
+            "oplog": _OPLOG_VERSION,
+            "snapshot_mutations": snapshot_mutations,
+        }
+        replace_atomically(
+            path,
+            lambda file: pickle.dump(
+                header, file, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+        )
         return cls(path, open(path, "ab"), op_count=0)
 
     @classmethod

@@ -35,6 +35,7 @@ from __future__ import annotations
 import os
 import pickle
 from pathlib import Path
+from typing import IO, Callable, TypeVar
 
 from repro.repository.master_graphs import master_from_state, master_state
 from repro.repository.repo import Repository
@@ -42,9 +43,12 @@ from repro.repository.repo import Repository
 __all__ = [
     "save_repository",
     "load_repository",
+    "replace_atomically",
     "restore_into",
     "repository_state",
 ]
+
+T = TypeVar("T")
 
 _FORMAT_VERSION = 2
 #: versions load_repository still understands (v1: no revisions, no
@@ -77,21 +81,33 @@ def repository_state(repo: Repository) -> dict:
     }
 
 
-def save_repository(repo: Repository, path: str | Path) -> int:
-    """Write a snapshot; returns the snapshot size in bytes.
+def replace_atomically(path: str | Path, write: Callable[[IO[bytes]], T]) -> T:
+    """Write ``path`` through a temp file that then atomically replaces
+    it; returns what ``write`` returned.
 
-    The state is pickled straight into a temp file, never built whole
-    in memory first, and the temp file atomically replaces ``path``.
+    ``write`` streams into the temp file (opened ``"wb"``), so a large
+    state is never built whole in memory.  At no instant does ``path``
+    hold a partial file: a crash leaves the old file or the new one.
     """
     path = Path(path)
     tmp = path.with_suffix(".tmp")
     with tmp.open("wb") as file:
+        result = write(file)
+    os.replace(tmp, path)
+    return result
+
+
+def save_repository(repo: Repository, path: str | Path) -> int:
+    """Write a snapshot, pickled straight through
+    :func:`replace_atomically`; returns the snapshot size in bytes."""
+
+    def write(file) -> int:
         pickle.dump(
             repository_state(repo), file, protocol=pickle.HIGHEST_PROTOCOL
         )
-        size = file.tell()
-    os.replace(tmp, path)
-    return size
+        return file.tell()
+
+    return replace_atomically(path, write)
 
 
 def restore_into(repo: Repository, state: dict) -> Repository:

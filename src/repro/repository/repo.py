@@ -550,6 +550,11 @@ class Repository:
             matching.append(self._bases[row.blob_key])
         return matching
 
+    def stores_family(self, os_type: str, distro: str) -> bool:
+        """Is a base of the ``(os_type, distro)`` family stored?  One
+        ``idx_base_images_attrs`` probe."""
+        return bool(self.db.base_images_with_attrs(os_type, distro))
+
     # reprolint: unlocked — benign-race memo of a pure function: two
     # racing writers store the same value, and dict item assignment is
     # atomic under the GIL

@@ -38,7 +38,7 @@ from repro.service.executor import (
     ShardAccount,
     check_options,
     failure_lines,
-    merge_stats,
+    merge_reports,
     run_batch,
     summary_line,
 )
@@ -259,7 +259,7 @@ def publish_batch(
         results=tuple(results),
         repo_bytes_before=bytes_before,
         repo_bytes_after=total_bytes(),
-        selection_stats=merge_stats(
+        selection_stats=merge_reports(
             [memo.stats.since(before[key]) for key, memo in memos.items()]
         ),
         shards=accounts if sharded else (),

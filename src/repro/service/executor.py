@@ -26,7 +26,7 @@ __all__ = [
     "ShardAccount",
     "check_options",
     "failure_lines",
-    "merge_stats",
+    "merge_reports",
     "route",
     "run_batch",
     "summary_line",
@@ -66,14 +66,31 @@ class Progress:
             self._callback(self._done, self._total, item)
 
 
-def merge_stats(deltas):
-    """Sum stats deltas field-wise (``SelectionStats`` etc.)."""
-    if len(deltas) == 1:
-        return deltas[0]
-    first = deltas[0]
-    totals = {f.name: sum(getattr(d, f.name) for d in deltas)
-              for f in fields(first)}
-    return type(first)(**totals)
+def merge_reports(reports):
+    """Merge same-type dataclass reports (per-shard GC, mining and
+    re-base reports, ``SelectionStats`` deltas, ...) field-wise, in
+    order: numbers sum, tuples concatenate, bools are or-ed, and
+    strings must agree.
+
+    Raises:
+        ValueError: two reports disagree on a string field.
+    """
+    if len(reports) == 1:
+        return reports[0]
+    merged = {}
+    for f in fields(reports[0]):
+        values = [getattr(report, f.name) for report in reports]
+        if isinstance(values[0], bool):
+            merged[f.name] = any(values)
+        elif isinstance(values[0], tuple):
+            merged[f.name] = tuple(v for value in values for v in value)
+        elif isinstance(values[0], str):
+            if len(set(values)) > 1:
+                raise ValueError(f"reports disagree on {f.name}: {values}")
+            merged[f.name] = values[0]
+        else:
+            merged[f.name] = sum(values)
+    return type(reports[0])(**merged)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from repro.model.attributes import BaseImageAttrs
 from repro.model.package import Package
 from repro.model.vmi import BaseImage
 from repro.repository.master_graphs import MasterGraph
+from repro.repository.persistence import replace_atomically
 from repro.repository.repo import Repository, base_image_qcow2
 from repro.sim.clock import SimulatedClock
 from repro.sim.costmodel import CostModel
@@ -192,9 +193,8 @@ class RebaseService:
                 for c in plan
             ],
         }
-        tmp = intent.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        tmp.replace(intent)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        replace_atomically(intent, lambda file: file.write(text.encode()))
 
     def _clear_intent(self) -> None:
         intent = self._intent_path()

@@ -45,7 +45,7 @@ from repro.service.executor import (
     ShardAccount,
     check_options,
     failure_lines,
-    merge_stats,
+    merge_reports,
     run_batch,
     summary_line,
 )
@@ -288,7 +288,7 @@ def retrieve_batch(
     )
     return BatchRetrieveReport(
         results=tuple(results),
-        planner_stats=merge_stats(
+        planner_stats=merge_reports(
             [p.stats.since(before[key]) for key, p in unique.items()]
         ),
         executed=tuple(executed),

@@ -58,6 +58,7 @@ from repro.errors import (
     ReproError,
     UnknownTenantError,
 )
+from repro.repository.persistence import replace_atomically
 from repro.service.admission import AdmissionController
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -201,11 +202,10 @@ class ImageServer:
         if self._owners_path is None:
             return
         with self._owners_lock:
-            tmp = self._owners_path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(self.tenants.owners(), sort_keys=True)
+            text = json.dumps(self.tenants.owners(), sort_keys=True)
+            replace_atomically(
+                self._owners_path, lambda file: file.write(text.encode())
             )
-            tmp.replace(self._owners_path)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -373,6 +373,10 @@ class ImageServer:
                         self._responding -= 1
                 if not delivered:
                     return
+        except OSError:
+            # stop() closed the socket under this thread, or the peer
+            # reset it: a peer that has gone away (handlers never raise)
+            return
         finally:
             with self._conn_lock:
                 self._connections.discard(conn)
@@ -504,20 +508,21 @@ class ImageServer:
     def _each(
         self, items, label: str, counted: str, one, malformed: str
     ) -> dict:
-        """The per-item loop behind every batch op: ``one(item)`` runs
-        each item; a typed failure is recorded in the item's row and the
-        batch goes on.  A non-list ``items`` is a ``malformed``
-        request."""
+        """The per-item loop behind every batch op: ``one(item, row)``
+        runs each item and returns its row's fields; it may note fields
+        in ``row`` first, which a failed row keeps.  A typed failure is
+        recorded in the item's row and the batch goes on.  A non-list
+        ``items`` is a ``malformed`` request."""
         if not isinstance(items, list):
             raise ProtocolError(malformed)
         results = []
         for item in items:
+            row = {label: item}
             try:
-                results.append({label: item, **one(item)})
+                row.update(one(item, row))
             except ReproError as exc:
-                results.append(
-                    {label: item, "error": error_payload(exc)["error"]}
-                )
+                row["error"] = error_payload(exc)["error"]
+            results.append(row)
         done = [r for r in results if "error" not in r]
         return {
             "n_items": len(items),
@@ -536,8 +541,10 @@ class ImageServer:
             "pid": os.getpid(),
         }
 
-    def _publish_one(self, tenant: str, source: dict, item) -> dict:
+    def _publish_one(self, tenant: str, source: dict, item, row: dict) -> dict:
         vmi = self._build_item(source, item)
+        # a failed batch row names the image as a local run does
+        row["name"] = vmi.name
         vmi.name = namespaced(tenant, vmi.name)
         charge = vmi.mounted_size
         # reserve quota before touching the repository, so a tenant at
@@ -555,7 +562,7 @@ class ImageServer:
 
     def _op_publish(self, tenant, args) -> dict:
         return self._publish_one(
-            tenant, args.get("source"), args.get("item")
+            tenant, args.get("source"), args.get("item"), {}
         )
 
     def _op_publish_many(self, tenant, args) -> dict:
@@ -564,7 +571,7 @@ class ImageServer:
             args.get("items"),
             "item",
             "n_published",
-            lambda item: self._publish_one(tenant, source, item),
+            lambda item, row: self._publish_one(tenant, source, item, row),
             "publish-many needs an 'items' list",
         )
 
@@ -619,7 +626,7 @@ class ImageServer:
             self._tenant_published(tenant) if names is None else names,
             "name",
             "n_retrieved",
-            lambda name: self._retrieve_one(tenant, str(name)),
+            lambda name, _row: self._retrieve_one(tenant, str(name)),
             "retrieve-many needs a 'names' list (or null for all of "
             "the tenant's images)",
         )
@@ -648,7 +655,7 @@ class ImageServer:
             args.get("names"),
             "name",
             "n_deleted",
-            lambda name: self._delete_one(tenant, str(name)),
+            lambda name, _row: self._delete_one(tenant, str(name)),
             "delete-many needs a 'names' list",
         )
         # a delete-many reply carries no simulated-seconds total

@@ -24,10 +24,17 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.core.system import Expelliarmus
 from repro.service.client import RemoteClient, parse_endpoint
 from repro.service.protocol import table2_source
 from repro.service.tenancy import namespaced
+
+# an exception escaping a daemon connection thread fails the test
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 

@@ -7,6 +7,7 @@ every rejection shape are testable exhaustively.  The socket layer
 gets its coverage from the property, lifecycle and CLI suites.
 """
 
+import socket
 import time
 
 import pytest
@@ -22,6 +23,11 @@ from repro.service.server import ImageServer, ServerConfig
 from repro.service.tenancy import TenantQuota
 
 SOURCE = scale_source(6, n_families=2, seed="server-unit")
+
+# an exception escaping a daemon connection thread fails the test
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 
 def _server(**config) -> ImageServer:
@@ -530,3 +536,16 @@ class TestDriftSurfacing:
         _result(_call(server, "delete", name="vmi-00000"))
         fsck = _result(_call(server, "fsck", tenant=None))
         assert fsck["clean"] is True
+
+
+class TestConnectionThread:
+    def test_closed_socket_is_a_peer_gone(self):
+        """stop() closes connection sockets while their threads may
+        still read them; the thread must end quietly, not raise."""
+        server = _server()
+        conn, peer = socket.socketpair()
+        peer.close()
+        conn.close()
+        server._connections.add(conn)
+        server._serve_connection(conn)
+        assert conn not in server._connections

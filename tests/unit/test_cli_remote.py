@@ -19,6 +19,11 @@ from repro.service.client import RemoteClient, parse_endpoint
 from repro.service.server import ImageServer, ServerConfig
 from repro.service.tenancy import TenantQuota
 
+# an exception escaping a daemon connection thread fails the test
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
+
 
 @pytest.fixture
 def server():
@@ -191,6 +196,26 @@ class TestRemoteVerbs:
         captured = capsys.readouterr()
         assert "quota-exceeded" in captured.err
         assert "published 0/2" in captured.out
+
+    def test_failed_publish_row_names_the_image_as_locally(
+        self, remote, capsys, tmp_path
+    ):
+        """A re-publish fails with the same row name, local or remote:
+        the image's name, not its corpus index."""
+        corpus = ["publish-many", "--scale", "1", "--families", "1"]
+        local = ["--workspace", str(tmp_path / "ws"), *corpus, "--progress"]
+
+        def failed_row(argv):
+            assert main(argv) == 0
+            assert main(argv) == 1
+            (row,) = [
+                line
+                for line in capsys.readouterr().err.splitlines()
+                if "FAILED" in line
+            ]
+            return row.split("FAILED")[0]
+
+        assert failed_row(["--remote", remote, *corpus]) == failed_row(local)
 
 
 class TestRemoteShutdown:
