@@ -816,7 +816,7 @@ def _print_remote_batch(args, verb, replies, status) -> int:
 
 
 def _print_published(label, result, repository_bytes=None) -> None:
-    stored = result["name"]
+    stored = result.get("stored_name", result["name"])
     line = (
         f"{label}: published{'' if stored == label else ' as ' + stored} "
         f"in {fmt_seconds(result['simulated_seconds'])}, "

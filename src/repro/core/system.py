@@ -40,7 +40,6 @@ class Expelliarmus:
         self,
         *,
         params: CostParams | None = None,
-        db_path: str = ":memory:",
         dedup_packages: bool = True,
         indexed_selection: bool = True,
         repository: Repository | None = None,
@@ -50,15 +49,14 @@ class Expelliarmus:
         repository instead of building a fresh one — the publisher,
         assembler and planner are all bound to it, so publish, retrieve
         and GC work on the injected instance exactly as the persistence
-        docstring promises.  ``db_path`` is ignored when a repository
-        is injected (it already carries its metadata database).
-        ``clock=`` shares an external simulated clock — the federation
-        router injects one clock across all its shard systems so
-        per-shard charges land in a single accounting domain."""
+        docstring promises.  ``clock=`` shares an external simulated
+        clock — the federation router injects one clock across all its
+        shard systems so per-shard charges land in a single accounting
+        domain."""
         self.clock = clock if clock is not None else SimulatedClock()
         self.cost = CostModel(params)
         self.repo = (
-            repository if repository is not None else Repository(db_path)
+            repository if repository is not None else Repository()
         )
         #: the durable workspace backing ``repo`` (set by :meth:`open`
         #: / :meth:`save`); None for a purely in-memory system

@@ -5,9 +5,9 @@ Three layers:
 * :class:`~repro.repository.blobstore.BlobStore` — content-addressed
   payload storage for packaged ``.deb`` archives, base-image qcow2
   files and user-data tarballs, with exact byte accounting;
-* :class:`~repro.repository.database.MetadataDatabase` — the SQLite
-  metadata store the paper uses ("self-contained, serverless,
-  zero-configuration", Section VI-A): VMI records, base-image records,
+* :class:`~repro.repository.database.MetadataDatabase` — the metadata
+  tables the paper keeps in SQLite (Section VI-A), here dict indexes
+  rebuilt from the workspace: VMI records, base-image records,
   package index;
 * :class:`~repro.repository.repo.Repository` — the facade Algorithms
   1-3 program against: packages, base images, user data, master graphs.

@@ -1,59 +1,37 @@
-"""SQLite metadata database.
+"""The metadata index: base images, VMIs, packages and their join rows.
 
-The paper keeps VMI metadata in SQLite (Section VI-A).  The schema below
-mirrors Figure 2's "VMI DATABASE" boxes — base images, VMIs and software
-packages — plus the join table mapping a published VMI to its primary
-packages.  The semantic graphs themselves live in memory
-(:class:`~repro.model.graph.SemanticGraph`); the database is the durable
-index the algorithms query by name.
+The paper keeps VMI metadata in SQLite on disk (Section VI-A), in the
+tables of Figure 2's "VMI DATABASE" boxes — base images, VMIs and
+software packages — plus the join rows mapping a published VMI to the
+stored packages its retrieval imports.  Here those tables are plain
+dict indexes in memory: nothing recovers from them, because a
+workspace's snapshot and write-ahead op-log are the durable state and
+replaying them rebuilds the index (DESIGN.md §5, §11).  The semantic
+graphs themselves live in :class:`~repro.model.graph.SemanticGraph`.
+
+Result orders are part of the contract, because Algorithm 2's
+candidate order, GC's base basis and the snapshot bytes read them.
+They are the orders the SQLite schema produced:
+
+* bases and packages come back in *signed* 64-bit blob-key order (the
+  key was SQLite's rowid, so keys ``>= 2**63`` sort first);
+* a VMI's package keys are de-duplicated, in signed-key order;
+* VMIs come back in publish sequence order;
+* :meth:`MetadataDatabase.all_vmi_package_keys` groups by the first
+  join row still stored, and a VMI's keys keep their insertion order.
 """
 
 from __future__ import annotations
 
-import sqlite3
-import threading
-from contextlib import contextmanager
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import DuplicateEntryError, NotInRepositoryError
 
 __all__ = ["MetadataDatabase", "PackageRow", "VMIRow", "BaseImageRow"]
 
-_SCHEMA = """
-CREATE TABLE base_images (
-    blob_key   INTEGER PRIMARY KEY,
-    os_type    TEXT NOT NULL,
-    distro     TEXT NOT NULL,
-    version    TEXT NOT NULL,
-    arch       TEXT NOT NULL,
-    size       INTEGER NOT NULL,
-    n_packages INTEGER NOT NULL
-);
-CREATE TABLE packages (
-    blob_key  INTEGER PRIMARY KEY,
-    name      TEXT NOT NULL,
-    version   TEXT NOT NULL,
-    arch      TEXT NOT NULL,
-    deb_size  INTEGER NOT NULL,
-    installed_size INTEGER NOT NULL
-);
-CREATE INDEX idx_packages_name ON packages (name);
-CREATE INDEX idx_base_images_attrs
-    ON base_images (os_type, distro, version, arch);
-CREATE TABLE vmis (
-    name       TEXT PRIMARY KEY,
-    base_key   INTEGER NOT NULL,
-    data_label TEXT,
-    seq        INTEGER NOT NULL
-);
-CREATE INDEX idx_vmis_base ON vmis (base_key);
-CREATE TABLE vmi_packages (
-    vmi_name TEXT NOT NULL,
-    pkg_key  INTEGER NOT NULL,
-    PRIMARY KEY (vmi_name, pkg_key)
-);
-"""
+#: the first uint64 key that is negative as a signed 64-bit integer
+_SIGN_BIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -85,103 +63,66 @@ class VMIRow:
     seq: int
 
 
+def _signed_order(keys) -> list[int]:
+    """uint64 keys in signed 64-bit order: the keys ``>= 2**63``
+    (negative when signed) first, each half ascending."""
+    ordered = sorted(keys)
+    split = bisect_left(ordered, _SIGN_BIT)
+    return ordered[split:] + ordered[:split]
+
+
 class MetadataDatabase:
-    """Thin typed layer over the SQLite schema above."""
+    """Typed metadata tables over dict indexes.
 
-    def __init__(self, path: str = ":memory:") -> None:
-        # check_same_thread=False: the daemon's connection threads
-        # reach this connection, always serialized by the repository
-        # lock (writes exclusive, reads against a quiescent
-        # writer side) — the cross-thread handoff SQLite's default
-        # check exists to catch cannot interleave statements here
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.execute("PRAGMA foreign_keys = ON")
-        self._conn.executescript(_SCHEMA)
+    Not synchronized: callers hold the repository lock, writes under
+    ``lock.write()`` and reads under ``lock.read()`` (or the write
+    lock).  Concurrent readers are safe because no query mutates
+    anything; a query racing a write is not.
+    """
+
+    def __init__(self) -> None:
+        self._bases: dict[int, BaseImageRow] = {}
+        #: (os_type, distro) -> {blob key: row}
+        self._families: dict[tuple[str, str], dict[int, BaseImageRow]] = {}
+        self._packages: dict[int, PackageRow] = {}
+        #: package name -> {blob key: row}
+        self._packages_by_name: dict[str, dict[int, PackageRow]] = {}
+        #: name -> row, in seq order (an update keeps its place)
+        self._vmis: dict[str, VMIRow] = {}
+        #: base key -> {seq: VMI name}
+        self._vmis_by_base: dict[int, dict[int, str]] = {}
+        #: VMI name -> its package keys as an ordered set; groups in
+        #: the order of their first stored join row
+        self._joins: dict[str, dict[int, None]] = {}
         self._seq = 0
-        #: open :meth:`batch` scopes; while > 0, per-statement commits
-        #: are deferred to the outermost scope exit.  Guarded by its own
-        #: mutex because callers on several threads may nest batches
-        #: (statements themselves stay serialized by the repository
-        #: lock).
-        self._batch_depth = 0
-        self._batch_mutex = threading.Lock()
-
-    def close(self) -> None:
-        self._conn.close()
-
-    # ------------------------------------------------------------------
-    # transaction batching
-    # ------------------------------------------------------------------
-
-    def _commit(self) -> None:
-        """Commit now, unless a batch scope is deferring commits."""
-        with self._batch_mutex:
-            if self._batch_depth > 0:
-                return
-        self._conn.commit()
-
-    @contextmanager
-    def batch(self) -> Iterator[None]:
-        """Defer per-statement commits to one commit at scope exit.
-
-        Batch publish otherwise pays one SQLite transaction round-trip
-        per inserted row; under a batch scope the implicit transaction
-        sqlite3 opens on the first DML statement stays open across the
-        whole pipeline and commits once.  Scopes nest (and may overlap
-        across threads): the last scope to close performs the commit.
-        Durability is unaffected — the metadata database is an index
-        rebuilt from the write-ahead op-log, never the recovery source.
-        """
-        with self._batch_mutex:
-            self._batch_depth += 1
-        try:
-            yield
-        finally:
-            with self._batch_mutex:
-                self._batch_depth -= 1
-                outermost = self._batch_depth == 0
-            if outermost:
-                self._conn.commit()
 
     # ------------------------------------------------------------------
     # base images
     # ------------------------------------------------------------------
 
     def insert_base_image(self, row: BaseImageRow) -> None:
-        try:
-            self._conn.execute(
-                "INSERT INTO base_images VALUES (?,?,?,?,?,?,?)",
-                (
-                    _signed(row.blob_key),
-                    row.os_type,
-                    row.distro,
-                    row.version,
-                    row.arch,
-                    row.size,
-                    row.n_packages,
-                ),
-            )
-        except sqlite3.IntegrityError:
+        if row.blob_key in self._bases:
             raise DuplicateEntryError(
                 f"base image {row.blob_key:#x} already indexed"
-            ) from None
-        self._commit()
+            )
+        self._bases[row.blob_key] = row
+        self._families.setdefault((row.os_type, row.distro), {})[
+            row.blob_key
+        ] = row
 
     def delete_base_image(self, blob_key: int) -> None:
-        cur = self._conn.execute(
-            "DELETE FROM base_images WHERE blob_key = ?",
-            (_signed(blob_key),),
-        )
-        if cur.rowcount == 0:
+        row = self._bases.pop(blob_key, None)
+        if row is None:
             raise NotInRepositoryError("base image", blob_key)
-        self._commit()
+        family_key = (row.os_type, row.distro)
+        family = self._families[family_key]
+        del family[blob_key]
+        if not family:
+            del self._families[family_key]
 
     def base_images(self) -> list[BaseImageRow]:
-        rows = self._conn.execute(
-            "SELECT blob_key, os_type, distro, version, arch, size,"
-            " n_packages FROM base_images ORDER BY rowid"
-        ).fetchall()
-        return [BaseImageRow(_unsigned(r[0]), *r[1:]) for r in rows]
+        bases = self._bases
+        return [bases[key] for key in _signed_order(bases)]
 
     def base_images_with_attrs(
         self,
@@ -192,82 +133,62 @@ class MetadataDatabase:
     ) -> list[BaseImageRow]:
         """Stored bases matching an attribute quadruple prefix, exactly.
 
-        Served by ``idx_base_images_attrs``, so candidate generation
-        touches only the matching rows instead of the full table.
-        ``version`` / ``arch`` narrow the prefix when given.  Matching
-        here is exact string equality; the graded ``simBI = 1`` classes
-        (portable ``"all"`` arch, equivalent release spellings) are the
-        repository facade's concern.
+        Served by the ``(os_type, distro)`` family index, so candidate
+        generation touches only the family's rows instead of every
+        base.  ``version`` / ``arch`` narrow the prefix when given.
+        Matching here is exact string equality; the graded
+        ``simBI = 1`` classes (portable ``"all"`` arch, equivalent
+        release spellings) are the repository facade's concern.
         """
-        sql = (
-            "SELECT blob_key, os_type, distro, version, arch, size,"
-            " n_packages FROM base_images WHERE os_type = ? AND distro = ?"
-        )
-        args: list[object] = [os_type, distro]
+        family = self._families.get((os_type, distro))
+        if not family:
+            return []
+        rows = [family[key] for key in _signed_order(family)]
         if version is not None:
-            sql += " AND version = ?"
-            args.append(version)
+            rows = [row for row in rows if row.version == version]
         if arch is not None:
-            sql += " AND arch = ?"
-            args.append(arch)
-        sql += " ORDER BY rowid"
-        rows = self._conn.execute(sql, args).fetchall()
-        return [BaseImageRow(_unsigned(r[0]), *r[1:]) for r in rows]
+            rows = [row for row in rows if row.arch == arch]
+        return rows
 
     def base_image_count(self) -> int:
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM base_images"
-        ).fetchone()[0]
+        return len(self._bases)
 
     # ------------------------------------------------------------------
     # packages
     # ------------------------------------------------------------------
 
     def insert_package(self, row: PackageRow) -> None:
-        try:
-            self._conn.execute(
-                "INSERT INTO packages VALUES (?,?,?,?,?,?)",
-                (
-                    _signed(row.blob_key),
-                    row.name,
-                    row.version,
-                    row.arch,
-                    row.deb_size,
-                    row.installed_size,
-                ),
-            )
-        except sqlite3.IntegrityError:
+        if row.blob_key in self._packages:
             raise DuplicateEntryError(
                 f"package {row.name} {row.version} already indexed"
-            ) from None
-        self._commit()
+            )
+        self._packages[row.blob_key] = row
+        self._packages_by_name.setdefault(row.name, {})[row.blob_key] = row
 
     def has_package(self, blob_key: int) -> bool:
-        row = self._conn.execute(
-            "SELECT 1 FROM packages WHERE blob_key = ?",
-            (_signed(blob_key),),
-        ).fetchone()
-        return row is not None
+        return blob_key in self._packages
 
     def packages_named(self, name: str) -> list[PackageRow]:
-        rows = self._conn.execute(
-            "SELECT blob_key, name, version, arch, deb_size,"
-            " installed_size FROM packages WHERE name = ?",
-            (name,),
-        ).fetchall()
-        return [PackageRow(_unsigned(r[0]), *r[1:]) for r in rows]
+        named = self._packages_by_name.get(name)
+        if not named:
+            return []
+        return [named[key] for key in _signed_order(named)]
 
     def all_packages(self) -> list[PackageRow]:
-        rows = self._conn.execute(
-            "SELECT blob_key, name, version, arch, deb_size,"
-            " installed_size FROM packages"
-        ).fetchall()
-        return [PackageRow(_unsigned(r[0]), *r[1:]) for r in rows]
+        packages = self._packages
+        return [packages[key] for key in _signed_order(packages)]
 
     def package_count(self) -> int:
-        return self._conn.execute(
-            "SELECT COUNT(*) FROM packages"
-        ).fetchone()[0]
+        return len(self._packages)
+
+    def delete_package(self, blob_key: int) -> None:
+        row = self._packages.pop(blob_key, None)
+        if row is None:
+            raise NotInRepositoryError("package", blob_key)
+        named = self._packages_by_name[row.name]
+        del named[blob_key]
+        if not named:
+            del self._packages_by_name[row.name]
 
     # ------------------------------------------------------------------
     # VMIs
@@ -277,120 +198,75 @@ class MetadataDatabase:
         self, name: str, base_key: int, data_label: str | None,
         package_keys: list[int],
     ) -> VMIRow:
+        # a rejected duplicate still uses up its sequence number
         self._seq += 1
-        try:
-            self._conn.execute(
-                "INSERT INTO vmis VALUES (?,?,?,?)",
-                (name, _signed(base_key), data_label, self._seq),
+        if name in self._vmis:
+            raise DuplicateEntryError(f"VMI {name!r} already published")
+        row = VMIRow(name, base_key, data_label, self._seq)
+        self._vmis[name] = row
+        self._vmis_by_base.setdefault(base_key, {})[row.seq] = name
+        if package_keys:
+            # a key already joined keeps its first place
+            self._joins.setdefault(name, {}).update(
+                dict.fromkeys(package_keys)
             )
-        except sqlite3.IntegrityError:
-            raise DuplicateEntryError(
-                f"VMI {name!r} already published"
-            ) from None
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO vmi_packages VALUES (?,?)",
-            [(name, _signed(k)) for k in package_keys],
-        )
-        self._commit()
-        return VMIRow(name, base_key, data_label, self._seq)
+        return row
 
     def update_vmi_base(self, name: str, base_key: int) -> None:
         """Re-point a VMI at a replacement base image (Algorithm 2)."""
-        cur = self._conn.execute(
-            "UPDATE vmis SET base_key = ? WHERE name = ?",
-            (_signed(base_key), name),
-        )
-        if cur.rowcount == 0:
-            raise NotInRepositoryError("VMI", name)
-        self._commit()
-
-    def get_vmi(self, name: str) -> VMIRow:
-        row = self._conn.execute(
-            "SELECT name, base_key, data_label, seq FROM vmis"
-            " WHERE name = ?",
-            (name,),
-        ).fetchone()
+        row = self._vmis.get(name)
         if row is None:
             raise NotInRepositoryError("VMI", name)
-        return VMIRow(row[0], _unsigned(row[1]), row[2], row[3])
+        self._unindex_base(row)
+        self._vmis[name] = VMIRow(name, base_key, row.data_label, row.seq)
+        self._vmis_by_base.setdefault(base_key, {})[row.seq] = name
+
+    def get_vmi(self, name: str) -> VMIRow:
+        try:
+            return self._vmis[name]
+        except KeyError:
+            raise NotInRepositoryError("VMI", name) from None
 
     def vmis(self) -> list[VMIRow]:
-        rows = self._conn.execute(
-            "SELECT name, base_key, data_label, seq FROM vmis ORDER BY seq"
-        ).fetchall()
-        return [VMIRow(r[0], _unsigned(r[1]), r[2], r[3]) for r in rows]
+        return list(self._vmis.values())
 
     def vmis_for_base(self, base_key: int) -> list[VMIRow]:
-        """Published VMIs on one base, record order (``idx_vmis_base``).
+        """Published VMIs on one base, seq order (the per-base index).
 
         The incremental GC's per-base record lookup: work scales with
         the base's own family, not with the repository.
         """
-        rows = self._conn.execute(
-            "SELECT name, base_key, data_label, seq FROM vmis"
-            " WHERE base_key = ? ORDER BY seq",
-            (_signed(base_key),),
-        ).fetchall()
-        return [VMIRow(r[0], _unsigned(r[1]), r[2], r[3]) for r in rows]
+        group = self._vmis_by_base.get(base_key)
+        if not group:
+            return []
+        return [self._vmis[group[seq]] for seq in sorted(group)]
 
     def delete_vmi(self, name: str) -> None:
-        cur = self._conn.execute(
-            "DELETE FROM vmis WHERE name = ?", (name,)
-        )
-        if cur.rowcount == 0:
+        row = self._vmis.pop(name, None)
+        if row is None:
             raise NotInRepositoryError("VMI", name)
-        self._conn.execute(
-            "DELETE FROM vmi_packages WHERE vmi_name = ?", (name,)
-        )
-        self._commit()
+        self._unindex_base(row)
+        self._joins.pop(name, None)
 
-    def delete_package(self, blob_key: int) -> None:
-        cur = self._conn.execute(
-            "DELETE FROM packages WHERE blob_key = ?",
-            (_signed(blob_key),),
-        )
-        if cur.rowcount == 0:
-            raise NotInRepositoryError("package", blob_key)
-        self._commit()
+    def _unindex_base(self, row: VMIRow) -> None:
+        group = self._vmis_by_base[row.base_key]
+        del group[row.seq]
+        if not group:
+            del self._vmis_by_base[row.base_key]
 
     def vmi_package_keys(self, name: str) -> list[int]:
-        rows = self._conn.execute(
-            "SELECT pkg_key FROM vmi_packages WHERE vmi_name = ?",
-            (name,),
-        ).fetchall()
-        return [_unsigned(r[0]) for r in rows]
+        return _signed_order(self._joins.get(name, ()))
 
     def all_vmi_package_keys(self) -> dict[str, list[int]]:
-        """Every VMI's join rows in one query (refcount rebuilds).
+        """Every VMI's join rows in one call (refcount rebuilds).
 
-        One table scan instead of one indexed query per record — the
-        full-GC verification anchor and fsck call this over the whole
-        store.
+        The full-GC verification anchor and fsck call this over the
+        whole store.  A VMI with no join rows has no entry.
         """
-        rows = self._conn.execute(
-            "SELECT vmi_name, pkg_key FROM vmi_packages"
-        ).fetchall()
-        grouped: dict[str, list[int]] = {}
-        for name, key in rows:
-            grouped.setdefault(name, []).append(_unsigned(key))
-        return grouped
+        return {name: list(keys) for name, keys in self._joins.items()}
 
     def replace_vmi_packages(self, name: str, package_keys: list[int]) -> None:
         """Overwrite a VMI's package join rows (GC re-derivation)."""
-        self._conn.execute(
-            "DELETE FROM vmi_packages WHERE vmi_name = ?", (name,)
-        )
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO vmi_packages VALUES (?,?)",
-            [(name, _signed(k)) for k in package_keys],
-        )
-        self._commit()
-
-
-def _signed(key: int) -> int:
-    """Map a uint64 content id into SQLite's signed 64-bit space."""
-    return key - (1 << 64) if key >= (1 << 63) else key
-
-
-def _unsigned(key: int) -> int:
-    return key + (1 << 64) if key < 0 else key
+        self._joins.pop(name, None)
+        if package_keys:
+            self._joins[name] = dict.fromkeys(package_keys)

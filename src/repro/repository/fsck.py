@@ -1,8 +1,8 @@
 """Repository consistency checking (fsck).
 
 The repository holds three coupled views of the same state: the blob
-store (payload bytes), the SQLite metadata database (the durable
-index), and the in-memory object caches plus master graphs.  This
+store (payload bytes), the metadata index (the tables the algorithms
+query by name), and the in-memory object caches plus master graphs.  This
 module verifies they agree and that the semantic invariants hold —
 the check an operator runs after a crash, a restore, or a suspected
 bug, and what the failure-injection tests use to assert that damage

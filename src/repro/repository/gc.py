@@ -91,13 +91,9 @@ class GarbageCollector:
         set and the zero-reference candidates.
         """
         if self.clock is None:
-            with self.repo.metadata_batch():
-                return self._run(full)
+            return self._run(full)
         with self.clock.measure() as breakdown:
-            # one SQLite commit for the whole pass — re-derivation and
-            # the sweep both rewrite many rows
-            with self.repo.metadata_batch():
-                report = self._run(full)
+            report = self._run(full)
         return dataclasses.replace(report, gc_seconds=breakdown.total)
 
     # ------------------------------------------------------------------

@@ -27,7 +27,9 @@ transaction model the parallel service layer builds on —
 
 The lock is deliberately *coarse*: the paper's repository is a single
 SQLite-plus-blobstore node, and one exclusive writer matches both its
-consistency model and SQLite's own write serialization.  Parallel
+consistency model and SQLite's own write serialization.  It is also
+the only guard of the metadata index's dicts, which are not
+synchronized themselves.  Parallel
 throughput comes from overlapping the simulated I/O of independent
 shards (see :mod:`repro.service.parallel`), not from interleaving
 mutations — which is exactly how the differential suite can demand

@@ -26,7 +26,7 @@ written **only through the repository's public iteration API**
 snapshot code cannot desynchronise from internal refactors.  Pickle is
 appropriate here because snapshots are produced and consumed by the
 same trusted application (never load snapshots from untrusted sources);
-the SQLite metadata is regenerated on load rather than serialised, so a
+the metadata index is regenerated on load rather than serialised, so a
 snapshot cannot desynchronise the two views.
 """
 

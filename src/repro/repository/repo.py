@@ -1,7 +1,8 @@
 """The repository facade Algorithms 1-3 program against.
 
-Combines the blob store (payload bytes), the SQLite metadata database
-(the durable index) and the in-memory master graphs and object caches.
+Combines the blob store (payload bytes), the metadata index (the
+tables the algorithms query by name) and the in-memory master graphs
+and object caches.
 All state-changing operations keep the three views consistent; time is
 *not* charged here — the algorithms charge the cost model explicitly so
 each figure can attribute durations to the operations the paper names.
@@ -83,14 +84,14 @@ class VMIRecord:
 class Repository:
     """Packages + base images + user data + master graphs + VMI index."""
 
-    def __init__(self, db_path: str = ":memory:") -> None:
+    def __init__(self) -> None:
         #: the coarse transaction lock (DESIGN.md §12): primitives
         #: below take it for writes; services take it around whole
         #: operations (reentrancy makes the nesting free) and use
         #: ``lock.read()`` for shared read-only access
         self.lock = RepositoryLock()
         self.blobs = BlobStore()
-        self.db = MetadataDatabase(db_path)
+        self.db = MetadataDatabase()
         self._packages: dict[int, Package] = {}
         self._bases: dict[int, BaseImage] = {}
         self._data: dict[str, UserData] = {}
@@ -161,18 +162,6 @@ class Repository:
     def _log(self, op: str, *args) -> None:
         if self._journal is not None:
             self._journal.append(op, args)
-
-    def metadata_batch(self):
-        """Defer metadata-database commits across a multi-write scope.
-
-        Context manager.  Services wrap whole pipelines (batch publish,
-        bulk delete, GC sweeps) in one scope so SQLite commits once per
-        pipeline instead of once per row; see
-        :meth:`~repro.repository.database.MetadataDatabase.batch`.
-        Crash safety is unchanged: recovery replays the write-ahead
-        op-log, never the SQLite index.
-        """
-        return self.db.batch()
 
     # ------------------------------------------------------------------
     # revision hooks (cache invalidation)
@@ -404,7 +393,8 @@ class Repository:
         ]
 
     def packages(self) -> list[Package]:
-        """All stored packages, metadata-index order.
+        """All stored packages, in signed 64-bit blob-key order (the
+        metadata index's order; snapshot bytes depend on it).
 
         The public iteration surface snapshot code uses — persistence
         must never reach into the object caches directly, or it
@@ -522,7 +512,9 @@ class Repository:
             raise NotInRepositoryError("base image", key) from None
 
     def base_images(self) -> list[BaseImage]:
-        """All stored bases, insertion order (Algorithm 2 line 3)."""
+        """All stored bases (Algorithm 2 line 3), in signed 64-bit
+        blob-key order — the metadata index's order, not insertion
+        order."""
         return [self._bases[row.blob_key] for row in self.db.base_images()]
 
     def base_images_matching(self, attrs) -> list[BaseImage]:
@@ -530,9 +522,9 @@ class Repository:
 
         Exactly the bases a full scan of :meth:`base_images` filtered by
         :func:`~repro.similarity.base.same_base_attrs` would yield, in
-        the same order — but the database serves only the rows sharing
-        ``(os_type, distro)`` (``idx_base_images_attrs``), already in
-        the scan's metadata-table order, and only the graded factors
+        the same signed blob-key order — but the metadata index serves
+        only the rows sharing ``(os_type, distro)`` (its family index),
+        already in that order, and only the graded factors
         (portable arch, release-equivalence classes, memoised per
         spelling pair) are checked per row.  Per-query work scales with
         the matching family, not with the repository.
@@ -552,7 +544,7 @@ class Repository:
 
     def stores_family(self, os_type: str, distro: str) -> bool:
         """Is a base of the ``(os_type, distro)`` family stored?  One
-        ``idx_base_images_attrs`` probe."""
+        family-index probe."""
         return bool(self.db.base_images_with_attrs(os_type, distro))
 
     # reprolint: unlocked — benign-race memo of a pure function: two

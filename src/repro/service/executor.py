@@ -5,15 +5,13 @@ partitioner — one shard when sequential, :func:`~repro.service.
 parallel.plan_shards` for ``parallelism=N``, family routing for the
 federation — and :func:`run_batch` alone runs the shards, one after
 another on the calling thread: each item under its repository's lock,
-each publishing shard in one commit scope, failures isolated per item
-(or raised), one :class:`ShardAccount` per shard, results merged back
+failures isolated per item (or raised), one :class:`ShardAccount` per shard, results merged back
 into caller order.  The shards are *modelled* workers: their overlap
 is accounted, not executed (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -190,9 +188,7 @@ def run_batch(
     :func:`route` partitions the items by ``place`` into ``n_shards``
     shards, ``split`` may re-partition those, and ``key`` (of a
     payload) orders each shard, stably.  The shards run one after
-    another on the calling thread; a publishing shard commits once (one
-    ``metadata_batch()`` scope), whether or not other shards share its
-    repository.  A failing item is recorded through ``job.fail`` — or,
+    another on the calling thread.  A failing item is recorded through ``job.fail`` — or,
     under ``on_error="raise"``, propagates, and no later item or shard
     runs.
     """
@@ -215,22 +211,21 @@ def run_batch(
         results = []
         seconds = 0.0
         failures = 0
-        with repo.metadata_batch() if job.write and pairs else nullcontext():
-            for position, payload in pairs:
-                acquire()
-                try:
-                    item = job.run(index, position, payload)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        raise
-                    failures += 1
-                    item = job.fail(position, payload, str(exc))
-                else:
-                    seconds += item.report.breakdown.total
-                finally:
-                    release()
-                results.append(item)
-                tracker.step(item)
+        for position, payload in pairs:
+            acquire()
+            try:
+                item = job.run(index, position, payload)
+            except ReproError as exc:
+                if on_error == "raise":
+                    raise
+                failures += 1
+                item = job.fail(position, payload, str(exc))
+            else:
+                seconds += item.report.breakdown.total
+            finally:
+                release()
+            results.append(item)
+            tracker.step(item)
         return results, ShardAccount(index, len(pairs), failures, seconds)
 
     outcomes = [run_shard(i, pairs) for i, pairs in enumerate(shards)]

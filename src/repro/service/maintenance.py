@@ -258,10 +258,7 @@ class MaintenanceService:
         with window as charged:
             for position, name in enumerate(names):
                 try:
-                    # the record delete touches two tables; commit them as
-                    # one transaction per item (GC passes batch their own)
-                    with self.repo.metadata_batch():
-                        self.repo.delete_vmi_record(name)
+                    self.repo.delete_vmi_record(name)
                     if self.clock is not None and self.cost is not None:
                         self.clock.advance(
                             self.cost.delete_record(), "delete"

@@ -240,10 +240,9 @@ class RebaseService:
         if rewrite_intent:
             self._write_intent(plan)
             self._hook("intent-written")
-        with self.repo.metadata_batch():
-            for candidate in plan:
-                self._apply(candidate, stats)
-                self._hook("candidate-done")
+        for candidate in plan:
+            self._apply(candidate, stats)
+            self._hook("candidate-done")
         self._clear_intent()
         self._hook("intent-cleared")
 

@@ -543,9 +543,9 @@ class ImageServer:
 
     def _publish_one(self, tenant: str, source: dict, item, row: dict) -> dict:
         vmi = self._build_item(source, item)
-        # a failed batch row names the image as a local run does
-        row["name"] = vmi.name
-        vmi.name = namespaced(tenant, vmi.name)
+        # every row names the image as a local run does
+        name = row["name"] = vmi.name
+        vmi.name = namespaced(tenant, name)
         charge = vmi.mounted_size
         # reserve quota before touching the repository, so a tenant at
         # its ceiling never costs the store any work
@@ -558,7 +558,11 @@ class ImageServer:
             raise
         self.tenants.record_owned(tenant, vmi.name)
         self._save_owners()
-        return publish_reply(report, charge)
+        return {
+            **publish_reply(report, charge),
+            "name": name,
+            "stored_name": vmi.name,
+        }
 
     def _op_publish(self, tenant, args) -> dict:
         return self._publish_one(

@@ -12,8 +12,7 @@ indistinguishable from one repository that ran the same operations:
 * the **summed refcounts are identical**, before and after GC;
 * churn converges to the **identical post-GC state**;
 * **federation fsck is clean** (per-shard checks plus the cross-shard
-  split-family / name-collision / index-drift invariants) at every
-  step.
+  split-family and name-collision invariants) at every step.
 
 The CI ``federation-stress`` job re-runs this suite with a higher
 example budget (``FEDERATION_PROP_EXAMPLES``).

@@ -1,4 +1,4 @@
-"""Unit tests for the SQLite metadata database."""
+"""Unit tests for the metadata index."""
 
 import pytest
 
@@ -12,9 +12,7 @@ from repro.repository.database import (
 
 @pytest.fixture
 def db():
-    database = MetadataDatabase()
-    yield database
-    database.close()
+    return MetadataDatabase()
 
 
 def base_row(key=2**63 + 5) -> BaseImageRow:
@@ -143,38 +141,54 @@ class TestBaseImageAttrsIndex:
         assert db.base_image_count() == 2
 
 
-class TestBatching:
-    """The batch() scope: one commit per pipeline, not per statement."""
+class TestResultOrders:
+    """The orders the SQLite schema produced, which callers rely on."""
 
-    def test_commit_deferred_until_scope_exit(self, db):
-        with db.batch():
-            db.insert_base_image(base_row())
-            # the implicit transaction stays open across the scope
-            assert db._conn.in_transaction
-        assert not db._conn.in_transaction
-        assert db.base_image_count() == 1
+    KEYS = [5, 2**64 - 3, 2, 2**63 + 7, 9]
+    SIGNED_ORDER = [2**63 + 7, 2**64 - 3, 2, 5, 9]
 
-    def test_nested_scopes_commit_once_at_outermost_exit(self, db):
-        with db.batch():
-            with db.batch():
-                db.insert_base_image(base_row())
-            assert db._conn.in_transaction
-        assert not db._conn.in_transaction
-        assert db.base_image_count() == 1
+    def test_bases_and_packages_in_signed_key_order(self, db):
+        for key in self.KEYS:
+            db.insert_base_image(base_row(key))
+            db.insert_package(pkg_row(key=key))
+        assert [r.blob_key for r in db.base_images()] == self.SIGNED_ORDER
+        assert [
+            r.blob_key for r in db.base_images_with_attrs("linux", "ubuntu")
+        ] == self.SIGNED_ORDER
+        assert [r.blob_key for r in db.packages_named("redis")] == (
+            self.SIGNED_ORDER
+        )
+        assert [r.blob_key for r in db.all_packages()] == self.SIGNED_ORDER
 
-    def test_scope_commits_even_when_the_pipeline_raises(self, db):
-        # rows written before the failure are index state the op-log
-        # already journaled; the batch scope must not hold them hostage
-        with pytest.raises(RuntimeError):
-            with db.batch():
-                db.insert_base_image(base_row())
-                raise RuntimeError("pipeline died mid-batch")
-        assert not db._conn.in_transaction
-        assert db.base_image_count() == 1
+    def test_vmi_package_keys_deduplicated_in_signed_order(self, db):
+        db.insert_vmi("vm", 1, None, self.KEYS + self.KEYS[:2])
+        assert db.vmi_package_keys("vm") == self.SIGNED_ORDER
+        # the grouped view keeps insertion order
+        assert db.all_vmi_package_keys() == {"vm": self.KEYS}
 
-    def test_without_a_scope_commits_per_statement(self, db):
-        db.insert_base_image(base_row())
-        assert not db._conn.in_transaction
+    def test_duplicate_insert_uses_up_a_seq(self, db):
+        db.insert_vmi("a", 1, None, [])
+        with pytest.raises(DuplicateEntryError):
+            db.insert_vmi("a", 1, None, [])
+        assert db.insert_vmi("b", 1, None, []).seq == 3
+
+    def test_repointed_vmi_keeps_its_seq_place(self, db):
+        db.insert_vmi("a", 1, None, [])
+        db.insert_vmi("b", 2, None, [])
+        db.insert_vmi("c", 1, None, [])
+        db.update_vmi_base("c", 2)
+        db.update_vmi_base("a", 2)
+        assert [r.name for r in db.vmis_for_base(2)] == ["a", "b", "c"]
+        assert db.vmis_for_base(1) == []
+        assert [r.name for r in db.vmis()] == ["a", "b", "c"]
+
+    def test_replaced_join_rows_move_to_the_end(self, db):
+        db.insert_vmi("a", 1, None, [3, 1])
+        db.insert_vmi("b", 1, None, [2])
+        db.replace_vmi_packages("a", [4])
+        assert list(db.all_vmi_package_keys()) == ["b", "a"]
+        db.replace_vmi_packages("b", [])
+        assert db.all_vmi_package_keys() == {"a": [4]}
 
 
 class TestAllVmiPackageKeys:

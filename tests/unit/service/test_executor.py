@@ -1,10 +1,9 @@
 """Unit coverage of the one batch executor and the contract every front
 inherits from it: caller positions, caller order, per-item locking,
-shards run inline on the calling thread, and the commit scope."""
+and shards run inline on the calling thread."""
 
 import sys
 import threading
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -127,17 +126,10 @@ class TestLocking:
 
 
 class _Repo:
-    """Just enough repository for the executor: a lock and a commit
-    scope that counts how often it is entered."""
+    """Just enough repository for the executor: a lock."""
 
     def __init__(self):
         self.lock = RepositoryLock()
-        self.scopes = 0
-
-    @contextmanager
-    def metadata_batch(self):
-        self.scopes += 1
-        yield
 
 
 def _result(position, ok, thread):
@@ -185,31 +177,19 @@ def _run(shards, job, *, on_error="continue", progress=None, key=None):
 
 
 class TestRunBatch:
-    def test_one_busy_shard_runs_inline_in_one_commit_scope(self):
+    def test_one_busy_shard_runs_inline(self):
         repo = _Repo()
         results, accounts, _ = _run([[(1, "b"), (0, "a")], []], _job([repo, repo]))
         assert [r.position for r in results] == [0, 1]
         assert {r.thread for r in results} == {threading.get_ident()}
-        assert repo.scopes == 1
         assert [a.n_items for a in accounts] == [2, 0]
 
-    def test_shards_sharing_a_repository_commit_once_per_busy_shard(self):
+    def test_shards_sharing_a_repository_run_inline(self):
         repo = _Repo()
         results, _, _ = _run(
             [[(0, "a")], [(1, "b"), (2, "c")], []], _job([repo, repo, repo])
         )
-        assert repo.scopes == 2
         assert {r.thread for r in results} == {threading.get_ident()}
-
-    def test_shards_on_their_own_repositories_commit_once_each(self):
-        repos = [_Repo(), _Repo()]
-        _run([[(0, "a")], [(1, "b")]], _job(repos))
-        assert [r.scopes for r in repos] == [1, 1]
-
-    def test_reads_open_no_commit_scope(self):
-        repo = _Repo()
-        _run([[(0, "a")]], _job([repo], write=False))
-        assert repo.scopes == 0
 
     def test_failures_are_isolated_and_merged_in_caller_order(self):
         repo = _Repo()

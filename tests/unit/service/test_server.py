@@ -132,7 +132,8 @@ class TestCorpusSources:
                 item="Mini",
             )
         )
-        assert result["name"] == "acme/Mini"
+        assert result["name"] == "Mini"
+        assert result["stored_name"] == "acme/Mini"
 
     def test_corpus_is_cached_per_source(self):
         server = _server()
@@ -147,7 +148,8 @@ class TestPublishRetrieveDelete:
         result = _result(
             _call(server, "publish", source=SOURCE, item=0)
         )
-        assert result["name"] == "acme/vmi-00000"
+        assert result["name"] == "vmi-00000"
+        assert result["stored_name"] == "acme/vmi-00000"
         assert result["charged_bytes"] > 0
         assert result["simulated_seconds"] > 0
         usage = server.tenants.usage("acme")
@@ -294,7 +296,8 @@ class TestQuotasAndSlots:
         result = _result(
             _call(server, "publish", tenant="vip", source=SOURCE, item=0)
         )
-        assert result["name"] == "vip/vmi-00000"
+        assert result["name"] == "vmi-00000"
+        assert result["stored_name"] == "vip/vmi-00000"
 
     def test_tenant_busy_when_slots_exhausted(self):
         server = _server(

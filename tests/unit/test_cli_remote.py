@@ -217,6 +217,30 @@ class TestRemoteVerbs:
 
         assert failed_row(["--remote", remote, *corpus]) == failed_row(local)
 
+    def test_published_rows_name_the_image_as_locally(
+        self, remote, capsys, tmp_path
+    ):
+        """A successful remote row prints the tenant's own name, as a
+        local row and a remote retrieve row do — not the stored,
+        namespaced one."""
+        corpus = ["publish-many", "--scale", "2", "--families", "1"]
+
+        def row_names(argv):
+            assert main([*argv, "--progress"]) == 0
+            return sorted(
+                line.split("]")[1].split()[0]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[")
+            )
+
+        local = row_names(["--workspace", str(tmp_path / "ws"), *corpus])
+        assert local == ["vmi-00000", "vmi-00001"]
+        assert row_names(["--remote", remote, *corpus]) == local
+        assert row_names(["--remote", remote, "retrieve-many"]) == local
+        # a single publish still says where the image is stored
+        assert main(["--remote", remote, "--tenant", "t", "publish", "Mini"]) == 0
+        assert "Mini: published as t/Mini" in capsys.readouterr().out
+
 
 class TestRemoteShutdown:
     def test_shutdown_drains_the_daemon(self, capsys):
