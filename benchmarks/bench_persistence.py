@@ -16,8 +16,9 @@ ways:
   re-publishing the whole corpus through Algorithm 1.
 
 Reopened repositories are asserted observationally identical to the
-pre-exit original (blobs, records, master revisions, refcounts, dirty
-state, mutation counter) and fsck-clean; the seed-randomised version
+pre-exit original (blobs, records, master contents — ordered vertices,
+edges and members — and revisions, refcounts, dirty state, mutation
+counter) and fsck-clean; the seed-randomised version
 of that equivalence lives in
 ``tests/property/test_persistence_props.py``.
 
@@ -36,6 +37,7 @@ from repro.core.system import Expelliarmus
 from repro.experiments.reporting import ExperimentResult, Series
 from repro.ids import content_id
 from repro.repository.fsck import check_repository
+from repro.repository.master_graphs import master_content
 from repro.repository.workspace import Workspace
 from repro.workloads.scale import scale_corpus
 
@@ -56,8 +58,9 @@ def _fingerprint(repo) -> dict:
         },
         "bytes": repo.bytes_by_kind(),
         "records": {r.name for r in repo.vmi_records()},
-        "master_revisions": {
-            m.base_key: m.revision for m in repo.master_graphs()
+        "masters": {
+            m.base_key: (master_content(m), m.revision)
+            for m in repo.master_graphs()
         },
         "refcounts": repo.refcounts(),
         "dirty": repo.dirty_bases(),

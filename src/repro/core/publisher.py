@@ -208,6 +208,7 @@ class VMIPublisher:
         selected_base_names = selection.base.package_names()
 
         # -- lines 15-20: store base / fetch master ----------------------------
+        base_key = selection.base.blob_key()
         stored_new_base = False
         if selection.is_new:
             # a genuinely new base: store its qcow2 and open a master
@@ -218,14 +219,24 @@ class VMIPublisher:
                 self.cost.write_bytes(qcow.size), "store-base"
             )
             stored_new_base = True
-        elif self.repo.has_master_graph(selection.base.blob_key()):
-            master = self.repo.get_master_graph(selection.base.blob_key())
+        elif self.repo.has_master_graph(base_key):
+            master = self.repo.get_master_graph(base_key)
         else:
             # base blob exists but carries no master yet (first member)
             master = MasterGraph.for_base(selection.base)
+        # an upload joining a stored master with nothing replaced is
+        # journaled as its own subgraph (add_master_member, line 29),
+        # not as the whole merged master
+        joins_stored_master = (
+            not selection.replace
+            and self.repo.find_master_graph(base_key) is master
+        )
 
         # -- line 21: merge the upload's primary subgraph ------------------------
-        master.add_primary_subgraph(gi_ps, vmi.name)
+        # (a stored master merges at line 29: until then nothing below
+        # reads it — no replacement, and the top-up walks gi_ps only)
+        if not joins_stored_master:
+            master.add_primary_subgraph(gi_ps, vmi.name)
 
         # -- lines 22-28: execute base replacement ---------------------------------
         replaced = 0
@@ -235,7 +246,7 @@ class VMIPublisher:
             if self.repo.has_master_graph(key):
                 master.merge_from(self.repo.get_master_graph(key))
             migrated.extend(self.repo.vmi_records_for_base(key))
-            self.repo.repoint_vmis(key, selection.base.blob_key())
+            self.repo.repoint_vmis(key, base_key)
             self.repo.remove_base_image(key)
             self.selection_memo.forget_base(key)
             self.clock.advance(self.cost.metadata_update(), "select-base")
@@ -244,7 +255,7 @@ class VMIPublisher:
             # the merged master may have absorbed members whose deletion
             # is still awaiting GC; the next pass must re-derive this
             # base to prune them
-            self.repo.mark_base_dirty(selection.base.blob_key())
+            self.repo.mark_base_dirty(base_key)
 
         # -- provision top-up: the selected base may provide fewer
         # packages than the upload's own base, or than a base it just
@@ -292,7 +303,10 @@ class VMIPublisher:
             )
 
         # -- line 29: persist the master graph + the VMI record ---------------------
-        self.repo.put_master_graph(master)
+        if joins_stored_master:
+            self.repo.add_master_member(base_key, gi_ps, vmi.name)
+        else:
+            self.repo.put_master_graph(master)
         self.clock.advance(self.cost.metadata_update(), "metadata")
         primaries = gi_ps.primary_packages()
         # the record's contribution: exactly the stored blobs Algorithm 3
@@ -301,7 +315,7 @@ class VMIPublisher:
         self.repo.record_vmi(
             VMIRecord(
                 name=vmi.name,
-                base_key=selection.base.blob_key(),
+                base_key=base_key,
                 primary_names=tuple(p.name for p in primaries),
                 data_label=data.label if data is not None else None,
                 mounted_size=upload_mounted_size,

@@ -37,6 +37,17 @@ class BaseImageAttrs:
     version: str
     arch: str
 
+    # the state stdlib's dataclass pickling builds (the field values in
+    # declaration order, which is also ``__slots__``), written out: it
+    # calls dataclasses.fields() per object, and snapshots and op-log
+    # records pickle these by the thousand (the bytes are identical)
+    def __getstate__(self) -> list:
+        return [self.os_type, self.distro, self.version, self.arch]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
     def key(self) -> tuple[str, str, str, str]:
         """The master-graph key ``[T, D, V, A]`` of Section III-H."""
         return (self.os_type, self.distro, self.version, self.arch)
@@ -56,6 +67,14 @@ class PackageAttrs:
     pkg: str
     version: Version
     arch: str
+
+    # explicit pickle state: see BaseImageAttrs.__getstate__
+    def __getstate__(self) -> list:
+        return [self.pkg, self.version, self.arch]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
     def is_portable(self) -> bool:
         """True when the package installs on any base architecture."""

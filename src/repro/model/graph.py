@@ -248,6 +248,12 @@ class SemanticGraph:
     def n_edges(self) -> int:
         return sum(len(out) for out in self._succ.values())
 
+    def edges(self) -> Iterator[tuple[str, str]]:
+        """Every ``(src, dst)`` dependency edge, in insertion order."""
+        for src, out in self._succ.items():
+            for dst in out:
+                yield src, dst
+
     def out_degree_sum(self, keys: Iterable[str]) -> int:
         """Total out-degree of the vertices ``keys`` (all must exist).
 

@@ -45,6 +45,14 @@ class DependencySpec:
     op: str | None = None
     version: Version | None = None
 
+    # explicit pickle state: see BaseImageAttrs.__getstate__
+    def __getstate__(self) -> list:
+        return [self.name, self.op, self.version]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
     def __post_init__(self) -> None:
         if (self.op is None) != (self.version is None):
             raise ValueError("op and version must be given together")

@@ -28,6 +28,8 @@ __all__ = [
     "MasterGraph",
     "base_subgraph_of",
     "ensure_revision_floor",
+    "issue_revision",
+    "master_content",
     "master_state",
     "master_from_state",
 ]
@@ -62,6 +64,16 @@ def ensure_revision_floor(floor: int) -> None:
     _REVISIONS.ensure_floor(floor)
 
 
+def issue_revision() -> int:
+    """Draw a fresh membership revision ahead of the mutation it names.
+
+    A journaled membership change must record its resulting revision
+    *before* it is applied (write-ahead); it draws here and passes the
+    value to :meth:`MasterGraph.add_primary_subgraph`.
+    """
+    return _REVISIONS.advance()
+
+
 def master_state(master: "MasterGraph") -> dict:
     """A master's reload-relevant content as plain data.
 
@@ -77,6 +89,22 @@ def master_state(master: "MasterGraph") -> dict:
         "member_vmis": list(master.member_vmis),
         "revision": master.revision,
     }
+
+
+def master_content(master: "MasterGraph") -> tuple:
+    """A master's order-sensitive content, for equality checks.
+
+    The ordered ``(vertex key, role)`` list, the edge set and the
+    ordered member list: everything reload fidelity must reproduce
+    beyond the revision.  Vertex order matters — :meth:`find_package`
+    and the walks of Algorithms 2 and 3 follow it.
+    """
+    graph = master.package_graph
+    return (
+        tuple((key, role.value) for key, _, role in graph.package_nodes()),
+        frozenset(graph.edges()),
+        tuple(master.member_vmis),
+    )
 
 
 def master_from_state(base: BaseImage, state: dict) -> "MasterGraph":
@@ -181,10 +209,8 @@ class MasterGraph:
     # membership
     # ------------------------------------------------------------------
 
-    def add_primary_subgraph(
-        self, subgraph: SemanticGraph, vmi_name: str | None = None
-    ) -> None:
-        """Union a primary package subgraph in (Algorithm 1 line 21).
+    def require_compatible(self, subgraph: SemanticGraph) -> None:
+        """Raise unless ``subgraph`` may join this master.
 
         Raises:
             GraphModelError: if the subgraph is not semantically
@@ -196,6 +222,24 @@ class MasterGraph:
                 "primary subgraph is incompatible with master-graph base "
                 f"{self.base.attrs}"
             )
+
+    def add_primary_subgraph(
+        self,
+        subgraph: SemanticGraph,
+        vmi_name: str | None = None,
+        *,
+        revision: int | None = None,
+    ) -> None:
+        """Union a primary package subgraph in (Algorithm 1 line 21).
+
+        The master moves to a fresh revision, or to ``revision`` when
+        given — one drawn by :func:`issue_revision` or replayed from a
+        journal, which also raises the revision floor past it.
+
+        Raises:
+            GraphModelError: see :meth:`require_compatible`.
+        """
+        self.require_compatible(subgraph)
         self._sync_fingerprints()
         fresh: list[Package] | None = None
         if self._population is not None or self._full_map is not None:
@@ -223,7 +267,11 @@ class MasterGraph:
                     # map either
                     self._full_map[pkg.name] = pkg
         self._fingerprint_nodes = len(self.package_graph)
-        self.revision = _REVISIONS.advance()
+        if revision is None:
+            revision = _REVISIONS.advance()
+        else:
+            _REVISIONS.ensure_floor(revision)
+        self.revision = revision
         if vmi_name is not None and vmi_name not in self.member_vmis:
             self.member_vmis.append(vmi_name)
 

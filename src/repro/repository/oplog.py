@@ -3,12 +3,22 @@
 A snapshot alone makes durability *expensive*: every publish would have
 to re-serialise the whole repository to survive a crash.  The op-log
 makes it cheap — the repository journals each state-changing primitive
-(store/remove/record/delete/reassign/repoint/master-put/dirty marks)
-*before* applying it, and reopening a workspace is
+(store/remove/record/delete/reassign/repoint/master-put/master-member/
+dirty marks) *before* applying it, and reopening a workspace is
 
     last snapshot  +  replay of the ops appended since,
 
 so reopen cost is O(ops since checkpoint), not O(repository).
+
+Master graphs are journaled two ways.  A publish into a stored master
+appends ``add_master_member``: the upload's primary subgraph, its name
+and the master's resulting revision, so the record's size follows the
+upload.  Whole-master rewrites (a new master, base replacement, GC
+rebuilds, rebase, federation rebalance) append ``put_master_graph``
+with the master's full content.  Logs written before
+``add_master_member`` existed replay unchanged; a build without it
+refuses such a log as an unknown op (``WorkspaceError``) before
+changing any file, so the header version stays 1.
 
 Log layout: one header record naming the op-log format version and the
 ``mutations`` counter of the snapshot this log continues from (so a
@@ -96,6 +106,7 @@ _REPLAYABLE_OPS = frozenset({
     "reassign_vmi_packages",
     "repoint_vmis",
     "put_master_graph",
+    "add_master_member",
     "mark_base_dirty",
     "clear_base_dirty",
 })

@@ -17,6 +17,7 @@ from repro.errors import NotInRepositoryError
 from repro.guestos.filesystem import package_manifest
 from repro.image.manifest import FileManifest
 from repro.image.qcow2 import Qcow2Image
+from repro.model.graph import SemanticGraph
 from repro.model.package import Package
 from repro.model.vmi import BaseImage, UserData
 from repro.repository.blobstore import BlobKind, BlobStore
@@ -26,7 +27,11 @@ from repro.repository.database import (
     PackageRow,
 )
 from repro.repository.locking import RepositoryLock
-from repro.repository.master_graphs import MasterGraph, master_state
+from repro.repository.master_graphs import (
+    MasterGraph,
+    issue_revision,
+    master_state,
+)
 from repro.similarity.base import compatible_arch, same_release_version
 
 __all__ = ["Repository", "VMIRecord", "base_image_qcow2"]
@@ -139,10 +144,13 @@ class Repository:
 
         ``journal`` needs one method, ``append(op, args)``, and must
         serialise its arguments *eagerly* — some ops pass live mutable
-        state (master package graphs) that later operations mutate in
-        place.  Ops are appended before the mutation is applied
-        (write-ahead), so a journal that reached durable storage always
-        describes at least the state the repository reached.
+        state that later operations mutate in place: the package graph
+        a ``put_master_graph`` entry carries is the live master's, which
+        later publishes grow (``add_master_member`` carries only the
+        upload's own subgraph).  Ops are appended before the mutation
+        is applied (write-ahead), so a journal that reached durable
+        storage always describes at least the state the repository
+        reached.
 
         The swap runs under the write lock, and every primitive both
         journals and applies under that same lock — so under parallel
@@ -591,6 +599,35 @@ class Repository:
         if master.base_key not in siblings:
             siblings.append(master.base_key)
         self._masters[master.base_key] = master
+
+    @_exclusive
+    def add_master_member(
+        self,
+        base_key: int,
+        subgraph: SemanticGraph,
+        vmi_name: str,
+        revision: int | None = None,
+    ) -> None:
+        """Merge one upload's primary subgraph into a stored master.
+
+        Algorithm 1 line 21 as a journaled primitive: the entry carries
+        the upload's subgraph, its name and the master's resulting
+        revision, so its size follows the upload, not the master.
+        Replay passes the journaled ``revision`` back and so restores
+        the exact ``(base_key, revision)`` pair.
+
+        Raises:
+            NotInRepositoryError: the base has no master.
+            GraphModelError: the subgraph is incompatible with the base
+                (checked before anything is journaled).
+        """
+        master = self.get_master_graph(base_key)
+        master.require_compatible(subgraph)
+        if revision is None:
+            revision = issue_revision()
+        self._log("add_master_member", base_key, subgraph, vmi_name, revision)
+        self._mutated()
+        master.add_primary_subgraph(subgraph, vmi_name, revision=revision)
 
     def master_graphs(self) -> list[MasterGraph]:
         return list(self._masters.values())

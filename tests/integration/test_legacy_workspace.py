@@ -1,6 +1,13 @@
-"""Workspaces written while semantic graphs wrapped networkx still open.
+"""Workspaces written in older on-disk layouts still open.
 
-The fixtures under ``tests/fixtures`` were written by
+``full_master_workspace`` was written by
+``tests/fixtures/make_full_master_workspace.py`` at the last commit
+whose publishes journaled the whole merged master graph
+(``put_master_graph``) instead of the upload's delta
+(``add_master_member``): a snapshot plus an un-checkpointed op-log of
+such publishes, a delete and an incremental GC pass.
+
+The networkx fixtures were written by
 ``tests/fixtures/make_networkx_workspace.py`` at the last commit whose
 snapshots and op-log records pickled each ``SemanticGraph`` as a
 ``networkx.DiGraph``:
@@ -26,7 +33,9 @@ import pytest
 
 from repro.core.system import Expelliarmus
 from repro.errors import WorkspaceError
+from repro.repository.oplog import OpLog
 from repro.service.protocol import manifest_digest
+from repro.workloads.scale import scale_corpus
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 LEGACY = ("networkx_workspace", "networkx_oplog_workspace")
@@ -109,3 +118,63 @@ def test_legacy_workspace_without_networkx_is_refused_untouched(
     # the same error, not "locked by running process"
     with pytest.raises(WorkspaceError, match="install networkx"):
         Expelliarmus.open(ws)
+
+
+#: the corpus make_full_master_workspace.py publishes from: its
+#: CORPUS_SIZE, CORPUS_SEED and WRITTEN (images already in the fixture)
+FULL_MASTER_CORPUS = (12, "full-master-oplog", 9)
+
+
+def _file_bytes(ws: Path) -> dict:
+    return {
+        p.name: p.read_bytes() for p in ws.iterdir() if p.name != "lock"
+    }
+
+
+def test_full_master_oplog_replays_and_accepts_new_publishes(tmp_path):
+    fixture = "full_master_workspace"
+    # the layout under test: every publish into a stored master is a
+    # whole-master record, and no master-delta record exists yet
+    ops = [r.op for r in OpLog.read(FIXTURES / fixture / "oplog.bin").ops]
+    assert ops.count("put_master_graph") > ops.count("store_base_image")
+    assert "add_master_member" not in ops
+
+    ws = _copy(tmp_path, fixture)
+    pristine = _file_bytes(ws)
+    recorded = json.loads(pristine["digests.json"])
+    system = Expelliarmus.open(ws)
+    try:
+        assert system.workspace.replayed_ops == len(ops)
+        assert system.fsck().clean
+        assert _retrievals(system) == recorded
+    finally:
+        system.close()
+    # opening, checking and retrieving write nothing
+    assert _file_bytes(ws) == pristine
+
+    # publish the corpus' remaining images on top: the old records
+    # stay as they are, the new ones append after them
+    size, seed, written = FULL_MASTER_CORPUS
+    corpus = scale_corpus(size, n_families=2, seed=seed)
+    system = Expelliarmus.open(ws)
+    for index in range(written, size):
+        system.publish(corpus.build(index))
+    expected = _retrievals(system)
+    system.close()
+    grown = _file_bytes(ws)
+    assert grown["snapshot.bin"] == pristine["snapshot.bin"]
+    assert grown["oplog.bin"].startswith(pristine["oplog.bin"])
+    new_ops = [r.op for r in OpLog.read(ws / "oplog.bin").ops[len(ops):]]
+    assert "add_master_member" in new_ops
+
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.fsck().clean
+        assert _retrievals(reopened) == expected
+        assert {name: expected[name] for name in recorded} == recorded
+        reopened.save()
+    finally:
+        reopened.close()
+    # the checkpoint is the first write to the old layout's files
+    assert _file_bytes(ws)["snapshot.bin"] != pristine["snapshot.bin"]
+    assert OpLog.read(ws / "oplog.bin").n_ops == 0

@@ -13,6 +13,7 @@ state and retrieval results, and fsck stays clean.
 import pytest
 
 from repro.core.system import Expelliarmus
+from repro.repository.master_graphs import master_content
 from repro.workloads.restart import RestartConfig, restart_schedule
 from repro.workloads.scale import scale_corpus
 
@@ -30,14 +31,7 @@ def _observable(repo) -> dict:
         },
         "records": {r.name for r in repo.vmi_records()},
         "masters": {
-            m.base_key: (
-                frozenset(
-                    (p.name, str(p.version))
-                    for p in m.primary_packages()
-                ),
-                frozenset(m.member_vmis),
-            )
-            for m in repo.master_graphs()
+            m.base_key: master_content(m) for m in repo.master_graphs()
         },
         "refcounts": repo.refcounts(),
         "dirty": repo.dirty_bases(),

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.system import Expelliarmus
 from repro.image.builder import BuildRecipe, ImageBuilder
+from repro.repository.master_graphs import master_content
 from repro.repository.persistence import load_repository, save_repository
 
 from tests.conftest import make_mini_catalog, make_mini_template
@@ -77,11 +78,7 @@ def _fingerprint(repo, exact_revisions: bool = True) -> dict:
         },
         "masters": {
             m.base_key: (
-                frozenset(
-                    (p.name, str(p.version))
-                    for p in m.primary_packages()
-                ),
-                frozenset(m.member_vmis),
+                master_content(m),
                 m.revision if exact_revisions else None,
             )
             for m in repo.master_graphs()
