@@ -19,7 +19,12 @@ set of ``(base image, primary set)`` combinations, so
   :class:`AssemblyPlan`: the base blob to copy (and its charged size),
   and the exact ordered list of :class:`InstallStep` package imports.
   Plans are cached keyed by the request's ``(base_key, primary
-  identity sequence)``.
+  identity sequence)``.  Deriving reads the master's own indexes and
+  builds no graph: each primary's root comes from the master's name
+  population (``MasterGraph.primary_root``), ``GI[PS]`` is the ordered
+  union of the roots' closure keys, and each vertex's compatibility
+  with the base is checked once per master object
+  (``MasterGraph.compatible_with_base``).
 * **execute** — run a plan against the repository, charging the four
   Figure-5a components.  Warm and cold retrieval differ only in the
   base-copy charge: batches clone a warm local copy of a base they
@@ -47,8 +52,8 @@ match, because:
   appended, never removed, and an existing key's payload is never
   replaced;
 * role strengthening does not matter: plans never read graph roles
-  (each step's role comes from the request, and ``is_compatible``
-  reads packages only);
+  (each step's role comes from the request, and the compatibility
+  check reads packages only);
 * a primary's root is the first maximal version among the vertices
   with its name, which cannot move while that name's count is
   unchanged;
@@ -96,13 +101,12 @@ from dataclasses import dataclass, field
 from repro.errors import IncompatibleImageError, RetrievalError
 from repro.image.guestfs import GuestfsHandle
 from repro.image.sysprep import sysprep
-from repro.model.graph import PackageRole, SemanticGraph
+from repro.model.graph import PackageRole
 from repro.model.vmi import VirtualMachineImage
 from repro.repository.master_graphs import MasterGraph
 from repro.repository.repo import Repository, VMIRecord
 from repro.sim.clock import SimulatedClock, TimeBreakdown
 from repro.sim.costmodel import CostModel
-from repro.similarity.compatibility import is_compatible
 
 __all__ = [
     "RETRIEVAL_COMPONENTS",
@@ -413,22 +417,24 @@ class AssemblyPlanner:
         self.stats.plans_derived += 1
         master = self.repo.get_master_graph(request.base_key)
         population = master.package_population()
-        gi_ps = SemanticGraph()
+        graph = master.package_graph
+        # GI[PS] as an ordered key set: the closures concatenated
+        # first-seen, the vertex order a union of the per-primary
+        # subgraphs would have, without building any graph
+        closure_keys: dict[str, None] = {}
         for pname in request.primary_names:
             if pname not in population:
                 raise RetrievalError(
                     f"package {pname!r} is not available for base "
                     f"{master.attrs}"
                 )
-            gi_ps.union_update(
-                master.extract_primary_subgraph(
-                    pname, request.version_of(pname)
-                )
-            )
+            root = master.primary_root(pname, request.version_of(pname))
+            closure_keys.update(graph.dependency_closure([root]))
             self.stats.subgraph_extractions += 1
+        packages = graph.packages_at(closure_keys)
         if request.primary_names:
             self.stats.compat_checks += 1
-            if not is_compatible(master.base_subgraph, gi_ps):
+            if not master.compatible_with_base(packages):
                 raise IncompatibleImageError(
                     f"requested packages {request.primary_names} are not "
                     f"compatible with base {master.attrs}"
@@ -446,17 +452,17 @@ class AssemblyPlanner:
                     else PackageRole.DEPENDENCY
                 ),
             )
-            for pkg in gi_ps.packages()
+            for pkg in packages
             if pkg.name not in base_names
         )
-        closure = gi_ps.node_keys()
+        closure = tuple(closure_keys)
         plan = AssemblyPlan(
             base_key=request.base_key,
             base_bytes=self.repo.base_image_size(request.base_key),
             installs=installs,
             lineage=master.lineage,
             closure=closure,
-            out_degree=master.package_graph.out_degree_sum(closure),
+            out_degree=graph.out_degree_sum(closure),
             name_counts=tuple(
                 (pname, len(population[pname]))
                 for pname in request.primary_names

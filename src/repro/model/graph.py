@@ -26,7 +26,7 @@ iterative Tarjan pass, :func:`strongly_connected_components`.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Any
 
 from repro.errors import GraphModelError
@@ -37,6 +37,7 @@ __all__ = [
     "NodeKind",
     "PackageRole",
     "SemanticGraph",
+    "first_newest",
     "strongly_connected_components",
 ]
 
@@ -83,6 +84,34 @@ _ROLE_RANK = {
     PackageRole.BASE_MEMBER: 1,
     PackageRole.PRIMARY: 2,
 }
+
+
+def first_newest(
+    candidates: Iterable[Package], name: str, version: str | None = None
+) -> Package:
+    """The root of ``GI[P]`` among the vertices named ``name``.
+
+    ``candidates`` are those vertices' payloads in vertex order.  With
+    ``version`` only payloads whose version string equals it qualify.
+    The first payload of maximal version wins, so equal-comparing
+    versions resolve to the earliest-inserted vertex.
+
+    Raises:
+        GraphModelError: if no candidate qualifies.
+    """
+    best: Package | None = None
+    for pkg in candidates:
+        if version is not None and str(pkg.version) != version:
+            continue
+        if best is None or pkg.version > best.version:
+            best = pkg
+    if best is None:
+        raise GraphModelError(
+            f"package {name!r}"
+            + (f" version {version}" if version else "")
+            + " is not a graph vertex"
+        )
+    return best
 
 
 def strongly_connected_components(
@@ -294,6 +323,23 @@ class SemanticGraph:
     def package_key(self, pkg: Package) -> str:
         return _pkg_key(pkg)
 
+    def packages_at(self, keys: Iterable[str]) -> list[Package]:
+        """The payloads of the package vertices ``keys``, in order."""
+        nodes = self._nodes
+        return [nodes[key][0] for key in keys]
+
+    def share_payloads(self, resolve: Callable[[Package], Package]) -> None:
+        """Replace every payload ``p`` by ``resolve(p)``, an object of
+        the same content (same vertex key), in place.
+
+        Lets a freshly unpickled graph point at objects its holder
+        already keeps, so later pickles share them.  Only for graphs no
+        one has read yet: a payload is otherwise never replaced.
+        """
+        nodes = self._nodes
+        for key, (pkg, role) in nodes.items():
+            nodes[key] = (resolve(pkg), role)
+
     def total_package_size(self) -> int:
         """Sum of installed sizes over all package vertices."""
         return sum(p.installed_size for p in self.packages())
@@ -357,24 +403,18 @@ class SemanticGraph:
         When the graph holds several versions of ``name`` (a master
         graph after successive uploads across archive updates), pass
         ``version`` to disambiguate; without it the newest version is
-        chosen.
+        chosen (:func:`first_newest`).
 
         Raises:
             GraphModelError: if no matching vertex exists.
         """
-        candidates = [
-            (key, pkg)
-            for key, pkg, _ in self.package_nodes()
-            if pkg.name == name
-            and (version is None or str(pkg.version) == version)
-        ]
-        if not candidates:
-            raise GraphModelError(
-                f"package {name!r}"
-                + (f" version {version}" if version else "")
-                + " is not a graph vertex"
-            )
-        root, _ = max(candidates, key=lambda kv: kv[1].version)
+        root = first_newest(
+            (p for p in self.packages() if p.name == name), name, version
+        )
+        return self.closure_subgraph(_pkg_key(root))
+
+    def closure_subgraph(self, root: str) -> "SemanticGraph":
+        """The subgraph induced by ``root``'s dependency closure."""
         return self._induced(self.dependency_closure([root]), with_base=False)
 
     def _induced(

@@ -15,7 +15,7 @@ Sizes follow the distinction the paper leans on in Section VI-C:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.ids import combine, intern_identity
 from repro.model.attributes import ARCH_ALL, PackageAttrs
@@ -156,12 +156,24 @@ class Package:
             object.__setattr__(self, "_blob_key", cached)
         return cached
 
-    def __getstate__(self) -> dict[str, object]:
-        # the caches stay out of snapshots and op-log records: each is
-        # pure in the frozen fields and re-derived on first use, and an
-        # interned id restored into another process would collide with
-        # that process's table (files that carry them still load)
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHES}
+    # explicit pickle state, the field values in declaration order (see
+    # BaseImageAttrs.__getstate__).  The caches stay out of snapshots and
+    # op-log records: each is pure in the frozen fields and re-derived
+    # on first use, and an interned id restored into another process
+    # would collide with that process's table.
+    def __getstate__(self) -> list:
+        values = self.__dict__
+        return [values[name] for name in _FIELDS]
+
+    def __setstate__(self, state: list | dict[str, object]) -> None:
+        if isinstance(state, dict):
+            # files written before the list form pickle the instance
+            # dict, the oldest with the caches in it
+            self.__dict__.update(
+                (k, v) for k, v in state.items() if k not in _CACHES
+            )
+            return
+        self.__dict__.update(zip(_FIELDS, state))
 
     def is_portable(self) -> bool:
         """True for ``Architecture: all`` packages."""
@@ -173,6 +185,10 @@ class Package:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.name}={self.version}:{self.arch}"
+
+
+#: the pickled state's order: :class:`Package`'s fields as declared
+_FIELDS = tuple(f.name for f in fields(Package))
 
 
 def make_package(

@@ -39,13 +39,36 @@ parallel ≡ sequential, byte for byte.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from collections.abc import Callable
 from time import monotonic
-from typing import Iterator
 
 from repro.errors import LockTimeoutError
 
 __all__ = ["RepositoryLock"]
+
+
+class _Held:
+    """The ``with`` block of one acquisition: acquires on entry,
+    releases on exit (slotted, cheaper than a generator-based context
+    manager on the per-item path)."""
+
+    __slots__ = ("_acquire", "_release", "_timeout")
+
+    def __init__(
+        self,
+        acquire: Callable[[float | None], None],
+        release: Callable[[], None],
+        timeout: float | None,
+    ) -> None:
+        self._acquire = acquire
+        self._release = release
+        self._timeout = timeout
+
+    def __enter__(self) -> None:
+        self._acquire(self._timeout)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._release()
 
 
 class RepositoryLock:
@@ -135,10 +158,13 @@ class RepositoryLock:
                 it is refused outright.
         """
         me = threading.get_ident()
+        if self._writer == me:
+            # reentrant, without the condition: only the owning thread
+            # ever sets _writer to its own ident (or clears it), so this
+            # unlocked compare cannot see another thread's write
+            self._write_depth += 1
+            return
         with self._cond:
-            if self._writer == me:
-                self._write_depth += 1
-                return
             if me in self._readers:
                 raise RuntimeError(
                     "read->write upgrade is not supported: release "
@@ -159,6 +185,11 @@ class RepositoryLock:
                 self._cond.notify_all()
 
     def release_write(self) -> None:
+        if self._write_depth > 1 and self._writer == threading.get_ident():
+            # nested release: the owner only drops a depth level, and
+            # nobody else reads or writes the depth meanwhile
+            self._write_depth -= 1
+            return
         with self._cond:
             if self._writer != threading.get_ident():
                 raise RuntimeError(
@@ -173,23 +204,13 @@ class RepositoryLock:
     # context managers — the API everything programs against
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def read(self, timeout: float | None = None) -> Iterator[None]:
+    def read(self, timeout: float | None = None) -> _Held:
         """Shared access for the ``with`` block."""
-        self.acquire_read(timeout)
-        try:
-            yield
-        finally:
-            self.release_read()
+        return _Held(self.acquire_read, self.release_read, timeout)
 
-    @contextmanager
-    def write(self, timeout: float | None = None) -> Iterator[None]:
+    def write(self, timeout: float | None = None) -> _Held:
         """Exclusive access for the ``with`` block."""
-        self.acquire_write(timeout)
-        try:
-            yield
-        finally:
-            self.release_write()
+        return _Held(self.acquire_write, self.release_write, timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -15,14 +15,16 @@ their master graphs when one base can replace the others.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
-from repro.model.graph import PackageRole, SemanticGraph
+from repro.model.graph import PackageRole, SemanticGraph, first_newest
 from repro.model.package import Package
 from repro.model.vmi import BaseImage
 from repro.similarity.compatibility import is_compatible
+from repro.similarity.package import package_similarity
 
 __all__ = [
     "MasterGraph",
@@ -107,7 +109,11 @@ def master_content(master: "MasterGraph") -> tuple:
     )
 
 
-def master_from_state(base: BaseImage, state: dict) -> "MasterGraph":
+def master_from_state(
+    base: BaseImage,
+    state: dict,
+    stored: Callable[[int], Package | None] | None = None,
+) -> "MasterGraph":
     """Rebuild a master graph around a stored base from saved state.
 
     Restores the saved membership revision exactly — a reloaded plan
@@ -115,9 +121,14 @@ def master_from_state(base: BaseImage, state: dict) -> "MasterGraph":
     was derived under — and raises the process-wide revision floor so
     post-reload mutations can never reissue a restored revision for
     different membership.  Legacy state without a revision (snapshot
-    format v1) restores at revision 0.
+    format v1) restores at revision 0.  With ``stored`` (blob key →
+    the package store's object, or None), an unpickled graph's
+    payloads are first pointed at objects the repository already holds
+    (:meth:`MasterGraph.share_payloads`).
     """
     master = MasterGraph.for_base(base)
+    if stored is not None:
+        master.share_payloads(state["package_graph"], stored)
     master.package_graph = state["package_graph"]
     master.invalidate_fingerprints()
     master.member_vmis = list(state["member_vmis"])
@@ -192,6 +203,19 @@ class MasterGraph:
     _fingerprint_nodes: int = field(
         default=-1, init=False, repr=False, compare=False
     )
+    #: vertex keys shown to have ``simP = 1`` against their base
+    #: homonym (or to have none).  A key fixes the ``(pkg, ver, arch)``
+    #: triple ``simP`` reads and this object's base never changes, so a
+    #: verdict never goes stale; failures are never stored.  Add-only,
+    #: written under the repository write lock, or under the read lock
+    #: plus the planner mutex.  See :meth:`compatible_with_base`.
+    _compatible: set[str] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+    #: ``{p.name: p}`` over the base subgraph, built on first use
+    _base_map: dict[str, Package] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def for_base(cls, base: BaseImage) -> "MasterGraph":
@@ -209,6 +233,40 @@ class MasterGraph:
     # membership
     # ------------------------------------------------------------------
 
+    def compatible_with_base(self, packages: Iterable[Package]) -> bool:
+        """``comp(GI[BI], G) = 1`` for the graph ``G`` whose payloads
+        are ``packages``, checking each vertex at most once per object.
+
+        ``comp`` is a product of homonym similarities in ``[0, 1]``, so
+        it is 1 exactly when every vertex scores ``simP = 1`` against
+        the base package of its name, or has none.  Vertices already
+        shown to pass are skipped; the first failure returns False and
+        is not remembered, so it fails again on every later call.
+        """
+        passed = self._compatible
+        base_map = self._base_packages()
+        key_of = self.base_subgraph.package_key
+        for pkg in packages:
+            key = key_of(pkg)
+            if key in passed:
+                continue
+            counterpart = base_map.get(pkg.name)
+            if (
+                counterpart is not None
+                and package_similarity(counterpart, pkg) != 1.0
+            ):
+                return False
+            passed.add(key)
+        return True
+
+    def _base_packages(self) -> dict[str, Package]:
+        """``{p.name: p}`` over the base subgraph, built once."""
+        if self._base_map is None:
+            self._base_map = {
+                p.name: p for p in self.base_subgraph.packages()
+            }
+        return self._base_map
+
     def require_compatible(self, subgraph: SemanticGraph) -> None:
         """Raise unless ``subgraph`` may join this master.
 
@@ -217,7 +275,7 @@ class MasterGraph:
                 compatible with the base — the master-graph invariant of
                 Section III-H would break.
         """
-        if not is_compatible(self.base_subgraph, subgraph):
+        if not self.compatible_with_base(subgraph.packages()):
             raise GraphModelError(
                 "primary subgraph is incompatible with master-graph base "
                 f"{self.base.attrs}"
@@ -304,6 +362,20 @@ class MasterGraph:
         """All primary packages merged into this master graph."""
         return self.package_graph.primary_packages()
 
+    def primary_root(self, name: str, version: str | None = None) -> str:
+        """The vertex key ``GI[P]`` grows from: among the vertices named
+        ``name`` (and versioned ``version``, when given), the first of
+        maximal version — read from :meth:`package_population`, no
+        vertex scan.
+
+        Raises:
+            GraphModelError: if no matching vertex exists.
+        """
+        root = first_newest(
+            self.package_population().get(name, ()), name, version
+        )
+        return self.package_graph.package_key(root)
+
     def extract_primary_subgraph(
         self, name: str, version: str | None = None
     ) -> SemanticGraph:
@@ -312,7 +384,36 @@ class MasterGraph:
         ``version`` disambiguates when several versions of the primary
         were published over time (defaults to the newest).
         """
-        return self.package_graph.extract_package_subgraph(name, version)
+        return self.package_graph.closure_subgraph(
+            self.primary_root(name, version)
+        )
+
+    def share_payloads(
+        self,
+        graph: SemanticGraph,
+        stored: Callable[[int], Package | None],
+    ) -> None:
+        """Point an unpickled graph bound for this master at objects
+        the repository already holds.
+
+        Each payload becomes the package store's object with its blob
+        key (``stored``), else the base's own package with its vertex
+        key, else stays.  A replayed or restored master then shares its
+        vertices with the store and the base, and the next snapshot
+        pickles each package once.
+        """
+        base_map = self._base_packages()
+        key_of = self.base_subgraph.package_key
+
+        def resolve(pkg: Package) -> Package:
+            hit = stored(pkg.blob_key())
+            if hit is None:
+                hit = base_map.get(pkg.name)
+                if hit is None or key_of(hit) != key_of(pkg):
+                    return pkg
+            return hit
+
+        graph.share_payloads(resolve)
 
     def full_graph(self) -> SemanticGraph:
         """Base subgraph ∪ package graph — ``GM`` as Section III-H."""

@@ -144,11 +144,20 @@ def apply_op(repo: Repository, record: OpLogRecord) -> None:
     """
     if record.op not in _REPLAYABLE_OPS:
         raise WorkspaceError(f"unknown op-log operation {record.op!r}")
+    # a record's packages unpickle as fresh copies: master vertices are
+    # pointed at the store's (or the base's) objects before they join,
+    # so later checkpoints pickle each package once
     if record.op == "put_master_graph":
         (state,) = record.args
         base = repo.get_base_image(state["base_key"])
-        repo.put_master_graph(master_from_state(base, state))
+        repo.put_master_graph(
+            master_from_state(base, state, repo.find_package)
+        )
         return
+    if record.op == "add_master_member":
+        base_key, subgraph = record.args[:2]
+        master = repo.get_master_graph(base_key)
+        master.share_payloads(subgraph, repo.find_package)
     getattr(repo, record.op)(*record.args)
 
 

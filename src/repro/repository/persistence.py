@@ -128,7 +128,7 @@ def restore_into(repo: Repository, state: dict) -> Repository:
         repo.store_user_data(data)
     for m in state["masters"]:
         base = repo.get_base_image(m["base_key"])
-        repo.put_master_graph(master_from_state(base, m))
+        repo.put_master_graph(master_from_state(base, m, repo.find_package))
     for record, package_keys in state["records"]:
         repo.record_vmi(record, package_keys=package_keys)
     for base_key in state.get("dirty_bases", ()):

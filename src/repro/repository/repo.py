@@ -394,6 +394,10 @@ class Repository:
         except KeyError:
             raise NotInRepositoryError("package", key) from None
 
+    def find_package(self, key: int) -> Package | None:
+        """The stored package object with blob key ``key``, else None."""
+        return self._packages.get(key)
+
     def packages_named(self, name: str) -> list[Package]:
         return [
             self._packages[row.blob_key]

@@ -202,28 +202,22 @@ def run_batch(
         shards = [sorted(s, key=lambda pair: key(pair[1])) for s in shards]
 
     def run_shard(index, pairs):
-        repo = job.repo(index)
-        # the lock's pair of calls, not its generator-based context
-        # manager: that would double the per-item locking cost
-        lock = repo.lock
-        acquire = lock.acquire_write if job.write else lock.acquire_read
-        release = lock.release_write if job.write else lock.release_read
+        lock = job.repo(index).lock
+        held = lock.write if job.write else lock.read
         results = []
         seconds = 0.0
         failures = 0
         for position, payload in pairs:
-            acquire()
-            try:
-                item = job.run(index, position, payload)
-            except ReproError as exc:
-                if on_error == "raise":
-                    raise
-                failures += 1
-                item = job.fail(position, payload, str(exc))
-            else:
-                seconds += item.report.breakdown.total
-            finally:
-                release()
+            with held():
+                try:
+                    item = job.run(index, position, payload)
+                except ReproError as exc:
+                    if on_error == "raise":
+                        raise
+                    failures += 1
+                    item = job.fail(position, payload, str(exc))
+                else:
+                    seconds += item.report.breakdown.total
             results.append(item)
             tracker.step(item)
         return results, ShardAccount(index, len(pairs), failures, seconds)

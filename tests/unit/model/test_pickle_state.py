@@ -1,9 +1,11 @@
-"""The frozen slotted model dataclasses pickle their fields as a list.
+"""The frozen model dataclasses pickle their fields as a list.
 
 Their explicit ``__getstate__``/``__setstate__`` replace the generic
 ones stdlib's dataclass decorator installs: the state must be the same
 field-value list, in declaration order, so snapshot and op-log bytes do
-not change.
+not change.  :class:`Package` is not slotted; its list state replaced
+a pickled instance dict keyed by the ten field names, which older
+snapshots and op-logs still hold.
 """
 
 import dataclasses
@@ -12,7 +14,7 @@ import pickle
 import pytest
 
 from repro.model.attributes import BaseImageAttrs, PackageAttrs
-from repro.model.package import DependencySpec
+from repro.model.package import DependencySpec, Package, make_package
 from repro.model.versions import Version
 
 SAMPLES = (
@@ -20,6 +22,11 @@ SAMPLES = (
     PackageAttrs("libc6", Version.parse("2.23-0ubuntu3"), "amd64"),
     DependencySpec("libc6", ">=", Version.parse("2.17")),
     DependencySpec("dpkg"),
+    make_package(
+        "libssl1.0.0", "1.0.2g-1ubuntu4", installed_size=3_000_000,
+        depends=(DependencySpec("libc6", ">=", Version.parse("2.14")),),
+        section="libs",
+    ),
 )
 
 
@@ -37,3 +44,59 @@ def test_pickle_roundtrip(obj):
     again = pickle.loads(blob)
     assert again == obj
     assert pickle.dumps(again, protocol=pickle.HIGHEST_PROTOCOL) == blob
+
+
+def _warmed_package() -> Package:
+    """A package whose per-instance caches are all filled."""
+    pkg = make_package("redis-server", "3.0.6", installed_size=1_000_000)
+    pkg.identity_id()
+    pkg.blob_key()
+    str(pkg.identity)
+    from repro.model.graph import SemanticGraph
+
+    SemanticGraph().package_key(pkg)
+    return pkg
+
+
+def test_package_caches_stay_out_of_the_pickle():
+    pkg = _warmed_package()
+    assert {"_identity", "_identity_id", "_blob_key", "_node_key"} <= set(
+        vars(pkg)
+    )
+    fresh = make_package("redis-server", "3.0.6", installed_size=1_000_000)
+    assert pickle.dumps(pkg, protocol=5) == pickle.dumps(fresh, protocol=5)
+    again = pickle.loads(pickle.dumps(pkg, protocol=5))
+    assert again == pkg
+    assert set(vars(again)) == {f.name for f in dataclasses.fields(Package)}
+    assert again.blob_key() == pkg.blob_key()
+
+
+class _DictStatePackage:
+    """Pickles as a :class:`Package` carrying the older dict state."""
+
+    def __init__(self, state: dict) -> None:
+        self.state = state
+
+    def __reduce_ex__(self, protocol):
+        return (object.__new__, (Package,), self.state)
+
+
+def test_package_loads_the_older_dict_state():
+    pkg = _warmed_package()
+    # the oldest files pickled the whole instance dict, caches included
+    blob = pickle.dumps(_DictStatePackage(dict(vars(pkg))), protocol=5)
+    again = pickle.loads(blob)
+    assert type(again) is Package
+    assert again == pkg
+    # a restored interned id would belong to another process's table
+    assert set(vars(again)) == {f.name for f in dataclasses.fields(Package)}
+    # and it pickles in the list form from then on
+    assert pickle.dumps(again, protocol=5) == pickle.dumps(pkg, protocol=5)
+
+
+def test_package_list_state_is_smaller_than_the_dict_state():
+    pkg = make_package("redis-server", "3.0.6", installed_size=1_000_000)
+    state = {f.name: getattr(pkg, f.name) for f in dataclasses.fields(pkg)}
+    assert len(pickle.dumps(pkg, protocol=5)) < len(
+        pickle.dumps(_DictStatePackage(state), protocol=5)
+    )
