@@ -22,9 +22,8 @@ set of ``(base image, primary set)`` combinations, so
   identity sequence)``.  Deriving reads the master's own indexes and
   builds no graph: each primary's root comes from the master's name
   population (``MasterGraph.primary_root``), ``GI[PS]`` is the ordered
-  union of the roots' closure keys, and each vertex's compatibility
-  with the base is checked once per master object
-  (``MasterGraph.compatible_with_base``).
+  union of the roots' closure keys, checked against the base from its
+  packages (``packages_compatibility``).
 * **execute** — run a plan against the repository, charging the four
   Figure-5a components.  Warm and cold retrieval differ only in the
   base-copy charge: batches clone a warm local copy of a base they
@@ -107,6 +106,7 @@ from repro.repository.master_graphs import MasterGraph
 from repro.repository.repo import Repository, VMIRecord
 from repro.sim.clock import SimulatedClock, TimeBreakdown
 from repro.sim.costmodel import CostModel
+from repro.similarity.compatibility import packages_compatibility
 
 __all__ = [
     "RETRIEVAL_COMPONENTS",
@@ -434,7 +434,7 @@ class AssemblyPlanner:
         packages = graph.packages_at(closure_keys)
         if request.primary_names:
             self.stats.compat_checks += 1
-            if not master.compatible_with_base(packages):
+            if packages_compatibility(master.base_subgraph, packages) != 1.0:
                 raise IncompatibleImageError(
                     f"requested packages {request.primary_names} are not "
                     f"compatible with base {master.attrs}"

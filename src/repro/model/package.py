@@ -156,24 +156,22 @@ class Package:
             object.__setattr__(self, "_blob_key", cached)
         return cached
 
-    # explicit pickle state, the field values in declaration order (see
-    # BaseImageAttrs.__getstate__).  The caches stay out of snapshots and
-    # op-log records: each is pure in the frozen fields and re-derived
-    # on first use, and an interned id restored into another process
-    # would collide with that process's table.
-    def __getstate__(self) -> list:
+    # explicit pickle form: the field values in declaration order,
+    # rebuilt by a module-level function (see _unpickle_package).  The
+    # caches stay out of snapshots and op-log records: each is pure in
+    # the frozen fields and re-derived on first use, and an interned id
+    # restored into another process would collide with that process's
+    # table.
+    def __reduce__(self) -> tuple:
         values = self.__dict__
-        return [values[name] for name in _FIELDS]
+        return (_unpickle_package, tuple(values[name] for name in _FIELDS))
 
-    def __setstate__(self, state: list | dict[str, object]) -> None:
-        if isinstance(state, dict):
-            # files written before the list form pickle the instance
-            # dict, the oldest with the caches in it
-            self.__dict__.update(
-                (k, v) for k, v in state.items() if k not in _CACHES
-            )
-            return
-        self.__dict__.update(zip(_FIELDS, state))
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # snapshots and op-logs written before __reduce__ pickle the
+        # instance dict, the oldest with the caches in it
+        self.__dict__.update(
+            (k, v) for k, v in state.items() if k not in _CACHES
+        )
 
     def is_portable(self) -> bool:
         """True for ``Architecture: all`` packages."""
@@ -187,8 +185,23 @@ class Package:
         return f"{self.name}={self.version}:{self.arch}"
 
 
-#: the pickled state's order: :class:`Package`'s fields as declared
+#: the pickled values' order: :class:`Package`'s fields as declared
 _FIELDS = tuple(f.name for f in fields(Package))
+
+
+def _unpickle_package(*values: object) -> Package:
+    """Rebuild a pickled :class:`Package` from its field values.
+
+    Its name is part of the snapshot and op-log format.  A build that
+    predates it fails to look it up (``AttributeError``, which loaders
+    treat as an unloadable record) and refuses the workspace, changing
+    no file; a bare value list restored into its ``Package`` would
+    raise ``UnpicklingError`` instead, which an op-log reader takes for
+    a torn tail and truncates.
+    """
+    pkg = object.__new__(Package)
+    pkg.__dict__.update(zip(_FIELDS, values))
+    return pkg
 
 
 def make_package(

@@ -15,7 +15,7 @@ their master graphs when one base can replace the others.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import GraphModelError
@@ -24,7 +24,6 @@ from repro.model.graph import PackageRole, SemanticGraph, first_newest
 from repro.model.package import Package
 from repro.model.vmi import BaseImage
 from repro.similarity.compatibility import is_compatible
-from repro.similarity.package import package_similarity
 
 __all__ = [
     "MasterGraph",
@@ -203,19 +202,6 @@ class MasterGraph:
     _fingerprint_nodes: int = field(
         default=-1, init=False, repr=False, compare=False
     )
-    #: vertex keys shown to have ``simP = 1`` against their base
-    #: homonym (or to have none).  A key fixes the ``(pkg, ver, arch)``
-    #: triple ``simP`` reads and this object's base never changes, so a
-    #: verdict never goes stale; failures are never stored.  Add-only,
-    #: written under the repository write lock, or under the read lock
-    #: plus the planner mutex.  See :meth:`compatible_with_base`.
-    _compatible: set[str] = field(
-        default_factory=set, init=False, repr=False, compare=False
-    )
-    #: ``{p.name: p}`` over the base subgraph, built on first use
-    _base_map: dict[str, Package] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def for_base(cls, base: BaseImage) -> "MasterGraph":
@@ -233,40 +219,6 @@ class MasterGraph:
     # membership
     # ------------------------------------------------------------------
 
-    def compatible_with_base(self, packages: Iterable[Package]) -> bool:
-        """``comp(GI[BI], G) = 1`` for the graph ``G`` whose payloads
-        are ``packages``, checking each vertex at most once per object.
-
-        ``comp`` is a product of homonym similarities in ``[0, 1]``, so
-        it is 1 exactly when every vertex scores ``simP = 1`` against
-        the base package of its name, or has none.  Vertices already
-        shown to pass are skipped; the first failure returns False and
-        is not remembered, so it fails again on every later call.
-        """
-        passed = self._compatible
-        base_map = self._base_packages()
-        key_of = self.base_subgraph.package_key
-        for pkg in packages:
-            key = key_of(pkg)
-            if key in passed:
-                continue
-            counterpart = base_map.get(pkg.name)
-            if (
-                counterpart is not None
-                and package_similarity(counterpart, pkg) != 1.0
-            ):
-                return False
-            passed.add(key)
-        return True
-
-    def _base_packages(self) -> dict[str, Package]:
-        """``{p.name: p}`` over the base subgraph, built once."""
-        if self._base_map is None:
-            self._base_map = {
-                p.name: p for p in self.base_subgraph.packages()
-            }
-        return self._base_map
-
     def require_compatible(self, subgraph: SemanticGraph) -> None:
         """Raise unless ``subgraph`` may join this master.
 
@@ -275,7 +227,7 @@ class MasterGraph:
                 compatible with the base — the master-graph invariant of
                 Section III-H would break.
         """
-        if not self.compatible_with_base(subgraph.packages()):
+        if not is_compatible(self.base_subgraph, subgraph):
             raise GraphModelError(
                 "primary subgraph is incompatible with master-graph base "
                 f"{self.base.attrs}"
@@ -402,7 +354,7 @@ class MasterGraph:
         vertices with the store and the base, and the next snapshot
         pickles each package once.
         """
-        base_map = self._base_packages()
+        base_map = {p.name: p for p in self.base_subgraph.packages()}
         key_of = self.base_subgraph.package_key
 
         def resolve(pkg: Package) -> Package:

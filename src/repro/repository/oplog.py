@@ -18,7 +18,10 @@ rebuilds, rebase, federation rebalance) append ``put_master_graph``
 with the master's full content.  Logs written before
 ``add_master_member`` existed replay unchanged; a build without it
 refuses such a log as an unknown op (``WorkspaceError``) before
-changing any file, so the header version stays 1.
+changing any file, so the header version stays 1.  Likewise, records
+pickle each package as a call of ``repro.model.package._unpickle_package``;
+a build without that function reads such a record as unloadable and
+refuses the log, changing no file.
 
 Log layout: one header record naming the op-log format version and the
 ``mutations`` counter of the snapshot this log continues from (so a

@@ -21,19 +21,37 @@ product is 1 — the base simply provides nothing the primaries constrain.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.model.graph import SemanticGraph
+from repro.model.package import Package
 from repro.similarity.package import package_similarity
 
-__all__ = ["semantic_compatibility", "is_compatible"]
+__all__ = [
+    "semantic_compatibility",
+    "packages_compatibility",
+    "is_compatible",
+]
 
 
 def semantic_compatibility(
     base_subgraph: SemanticGraph, primary_subgraph: SemanticGraph
 ) -> float:
     """``comp`` in ``[0, 1]``: product of homonym package similarities."""
+    return packages_compatibility(base_subgraph, primary_subgraph.packages())
+
+
+def packages_compatibility(
+    base_subgraph: SemanticGraph, packages: Iterable[Package]
+) -> float:
+    """``comp`` against the subgraph whose payloads are ``packages``.
+
+    For callers that hold a subgraph's packages but no graph, such as
+    a plan derived from a master's closure key set.
+    """
     base_pkgs = {p.name: p for p in base_subgraph.packages()}
     value = 1.0
-    for pkg in primary_subgraph.packages():
+    for pkg in packages:
         counterpart = base_pkgs.get(pkg.name)
         if counterpart is not None:
             value *= package_similarity(counterpart, pkg)

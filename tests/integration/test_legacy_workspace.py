@@ -33,6 +33,8 @@ import pytest
 
 from repro.core.system import Expelliarmus
 from repro.errors import WorkspaceError
+from repro.model import package as package_module
+from repro.model.package import Package
 from repro.repository.oplog import OpLog
 from repro.service.protocol import manifest_digest
 from repro.workloads.scale import scale_corpus
@@ -178,3 +180,35 @@ def test_full_master_oplog_replays_and_accepts_new_publishes(tmp_path):
     # the checkpoint is the first write to the old layout's files
     assert _file_bytes(ws)["snapshot.bin"] != pristine["snapshot.bin"]
     assert OpLog.read(ws / "oplog.bin").n_ops == 0
+
+
+def test_older_reader_refuses_new_package_records_untouched(
+    tmp_path, monkeypatch
+):
+    """A build whose ``Package`` predates ``_unpickle_package`` (and has
+    no ``__setstate__``) still reads the fixture's snapshot, then meets
+    this build's ``store_package`` records in the op-log: it must refuse
+    the workspace, not truncate the log at the first of them."""
+    ws = _copy(tmp_path, "full_master_workspace")
+    size, seed, written = FULL_MASTER_CORPUS
+    corpus = scale_corpus(size, n_families=2, seed=seed)
+    system = Expelliarmus.open(ws)
+    system.publish(corpus.build(written))
+    system.close()
+    grown = _file_bytes(ws)
+    ops = [r.op for r in OpLog.read(ws / "oplog.bin").ops]
+    assert "store_package" in ops
+
+    with monkeypatch.context() as older:
+        older.delattr(package_module, "_unpickle_package")
+        older.delattr(Package, "__setstate__")
+        with pytest.raises(WorkspaceError, match="op-log .* cannot load"):
+            Expelliarmus.open(ws)
+    assert _file_bytes(ws) == grown
+
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.workspace.replayed_ops == len(ops)
+        assert reopened.fsck().clean
+    finally:
+        reopened.close()

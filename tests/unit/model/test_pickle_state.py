@@ -1,11 +1,12 @@
-"""The frozen model dataclasses pickle their fields as a list.
+"""The frozen model dataclasses pickle their field values in order.
 
-Their explicit ``__getstate__``/``__setstate__`` replace the generic
-ones stdlib's dataclass decorator installs: the state must be the same
-field-value list, in declaration order, so snapshot and op-log bytes do
-not change.  :class:`Package` is not slotted; its list state replaced
-a pickled instance dict keyed by the ten field names, which older
-snapshots and op-logs still hold.
+The slotted ones' explicit ``__getstate__``/``__setstate__`` replace
+the generic ones stdlib's dataclass decorator installs: the state must
+be the same field-value list, in declaration order, so snapshot and
+op-log bytes do not change.  :class:`Package` is not slotted; it
+pickles as a call of ``_unpickle_package`` with its field values, which
+replaced a pickled instance dict keyed by the ten field names that
+older snapshots and op-logs still hold.
 """
 
 import dataclasses
@@ -14,8 +15,10 @@ import pickle
 import pytest
 
 from repro.model.attributes import BaseImageAttrs, PackageAttrs
+from repro.model import package as package_module
 from repro.model.package import DependencySpec, Package, make_package
 from repro.model.versions import Version
+from repro.repository.oplog import UNLOADABLE
 
 SAMPLES = (
     BaseImageAttrs("linux", "ubuntu", "16.04", "amd64"),
@@ -30,12 +33,22 @@ SAMPLES = (
 )
 
 
-@pytest.mark.parametrize("obj", SAMPLES, ids=lambda o: type(o).__name__)
+def _field_values(obj) -> list:
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+@pytest.mark.parametrize(
+    "obj", SAMPLES[:-1], ids=lambda o: type(o).__name__
+)
 def test_reduce_state_is_field_values_in_declaration_order(obj):
-    state = obj.__reduce_ex__(5)[2]
-    assert state == [
-        getattr(obj, f.name) for f in dataclasses.fields(obj)
-    ]
+    assert obj.__reduce_ex__(5)[2] == _field_values(obj)
+
+
+def test_package_reduces_to_its_rebuild_function_and_field_values():
+    pkg = SAMPLES[-1]
+    rebuild, values = pkg.__reduce_ex__(5)
+    assert rebuild is package_module._unpickle_package
+    assert list(values) == _field_values(pkg)
 
 
 @pytest.mark.parametrize("obj", SAMPLES, ids=lambda o: type(o).__name__)
@@ -94,9 +107,22 @@ def test_package_loads_the_older_dict_state():
     assert pickle.dumps(again, protocol=5) == pickle.dumps(pkg, protocol=5)
 
 
-def test_package_list_state_is_smaller_than_the_dict_state():
+def test_package_pickles_smaller_than_the_dict_state():
     pkg = make_package("redis-server", "3.0.6", installed_size=1_000_000)
     state = {f.name: getattr(pkg, f.name) for f in dataclasses.fields(pkg)}
     assert len(pickle.dumps(pkg, protocol=5)) < len(
         pickle.dumps(_DictStatePackage(state), protocol=5)
     )
+
+
+def test_reader_without_the_rebuild_function_gets_an_unloadable_record(
+    monkeypatch,
+):
+    """A build that predates ``_unpickle_package`` fails the lookup with
+    an error loaders report as an unloadable record, never with the
+    ``UnpicklingError`` an op-log reader takes for a torn tail."""
+    blob = pickle.dumps(SAMPLES[-1], protocol=pickle.HIGHEST_PROTOCOL)
+    monkeypatch.delattr(package_module, "_unpickle_package")
+    monkeypatch.delattr(Package, "__setstate__")
+    with pytest.raises(UNLOADABLE):
+        pickle.loads(blob)
