@@ -32,6 +32,12 @@ __all__ = ["FileManifest", "SMALL_FILE_THRESHOLD", "ordered_digest"]
 #: Hemera stores files below this size in its database (Section VI-C).
 SMALL_FILE_THRESHOLD: int = 1_000_000
 
+#: the pickled record's column dtypes, fixed little-endian so a
+#: snapshot reads the same on any host
+_ID_DTYPE = np.dtype("<u8")
+_SIZE_DTYPE = np.dtype("<i8")
+_RATIO_DTYPE = np.dtype("<f8")
+
 
 class FileManifest:
     """Immutable collection of (content id, size, gzip ratio) records."""
@@ -58,14 +64,20 @@ class FileManifest:
         for a in (self._ids, self._sizes, self._ratios):
             a.setflags(write=False)
 
-    def __getstate__(self) -> tuple[None, dict[str, np.ndarray]]:
-        # the total_size memo stays out of snapshots and op-log records:
-        # the state is exactly what an unmemoized manifest pickles to
-        return None, {
-            "_ids": self._ids, "_sizes": self._sizes, "_ratios": self._ratios
-        }
+    # A manifest pickles as a call of _unpickle_manifest with its record
+    # count and one buffer: ids, then sizes, then ratios, little-endian.
+    # The total_size memo stays out of snapshots and op-log records.
+    def __reduce__(self) -> tuple:
+        buffer = b"".join((
+            self._ids.astype(_ID_DTYPE, copy=False).tobytes(),
+            self._sizes.astype(_SIZE_DTYPE, copy=False).tobytes(),
+            self._ratios.astype(_RATIO_DTYPE, copy=False).tobytes(),
+        ))
+        return (_unpickle_manifest, (self.n_files, buffer))
 
     def __setstate__(self, state: tuple[None, dict[str, np.ndarray]]) -> None:
+        # snapshots and op-logs written before __reduce__ pickle the
+        # three arrays as a (None, slots) state
         _, slots = state
         self._ids = slots["_ids"]
         self._sizes = slots["_sizes"]
@@ -252,6 +264,23 @@ class FileManifest:
             f"<FileManifest files={self.n_files} "
             f"bytes={self.total_size}>"
         )
+
+
+def _unpickle_manifest(n: int, buffer: bytes) -> FileManifest:
+    """Rebuild a pickled :class:`FileManifest` from its record buffer.
+
+    The arrays are read-only views of ``buffer``: ``n`` content ids,
+    then ``n`` sizes, then ``n`` gzip ratios.  Its name is part of the
+    snapshot and op-log format.  A build that predates it fails to look
+    it up (``AttributeError``, which loaders treat as an unloadable
+    record) and refuses the workspace, changing no file.
+    """
+    manifest = object.__new__(FileManifest)
+    manifest._ids = np.frombuffer(buffer, _ID_DTYPE, n, 0)
+    manifest._sizes = np.frombuffer(buffer, _SIZE_DTYPE, n, 8 * n)
+    manifest._ratios = np.frombuffer(buffer, _RATIO_DTYPE, n, 16 * n)
+    manifest._total = None
+    return manifest
 
 
 def ordered_digest(manifests: Iterable[FileManifest]) -> str:

@@ -340,6 +340,24 @@ class SemanticGraph:
         for key, (pkg, role) in nodes.items():
             nodes[key] = (resolve(pkg), role)
 
+    def share_keys(self, keys: dict[str, str]) -> None:
+        """Replace every vertex key by the equal string in ``keys``, in
+        place; keys it lacks join it as they are.
+
+        With ``keys`` a graph's own (``{k: k}``), a freshly unpickled
+        graph about to be unioned into it adds the graph's key objects,
+        not equal copies, so later pickles write each key once.  Same
+        vertices, same order.
+        """
+        canon = {key: keys.setdefault(key, key) for key in self._succ}
+        self._nodes = {canon[k]: vertex for k, vertex in self._nodes.items()}
+        self._succ = {
+            canon[u]: {canon[v]: None for v in out}
+            for u, out in self._succ.items()
+        }
+        if self._base_node is not None:
+            self._base_node = canon[self._base_node]
+
     def total_package_size(self) -> int:
         """Sum of installed sizes over all package vertices."""
         return sum(p.installed_size for p in self.packages())

@@ -19,9 +19,21 @@ with the master's full content.  Logs written before
 ``add_master_member`` existed replay unchanged; a build without it
 refuses such a log as an unknown op (``WorkspaceError``) before
 changing any file, so the header version stays 1.  Likewise, records
-pickle each package as a call of ``repro.model.package._unpickle_package``;
-a build without that function reads such a record as unloadable and
-refuses the log, changing no file.
+pickle each package as a call of ``repro.model.package._unpickle_package``,
+and each file manifest (user data, base skeletons) as a call of
+``repro.image.manifest._unpickle_manifest`` with its record count and
+one little-endian buffer of its content ids, sizes and gzip ratios, so
+no numpy global appears in a record; a build without either function
+reads such a record as unloadable and refuses the log, changing no
+file.  Older records holding packages as dicts and manifests as three
+numpy arrays replay unchanged.
+
+Each record unpickles on its own, so a replayed payload shares no
+object with what the repository already holds.  Replay points it at
+the held objects (:class:`HeldPayloads`): packages by blob key, a
+base's attributes and skeleton, the strings of replayed packages, the
+masters' vertex keys — so the next checkpoint pickles each once, as a
+snapshot load would have kept them.
 
 Log layout: one header record naming the op-log format version and the
 ``mutations`` counter of the snapshot this log continues from (so a
@@ -53,11 +65,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkspaceError
+from repro.model.package import Package, share_strings
+from repro.model.vmi import BaseImage
 from repro.repository.master_graphs import master_from_state
 from repro.repository.persistence import replace_atomically
 from repro.repository.repo import Repository
 
 __all__ = [
+    "HeldPayloads",
     "OpLog",
     "OpLogRecord",
     "ReplayReport",
@@ -139,20 +154,115 @@ class ReplayReport:
         return len(self.ops)
 
 
-def apply_op(repo: Repository, record: OpLogRecord) -> None:
+class HeldPayloads:
+    """What a replay points unpickled payloads at: the package objects
+    the repository holds by blob key (the package store's, else a
+    stored base's own), one stored base per attribute quadruple, and
+    the masters' vertex keys.
+
+    Each op-log record unpickles on its own, so a replayed payload
+    shares nothing with the objects already held; pointing it at them
+    keeps the sharing a live session has, and the next checkpoint
+    pickles each object once (as :meth:`MasterGraph.share_payloads`
+    does for master vertices).  The indexes are built on first use, so
+    a replay pays only for the kinds of record it holds.
+    """
+
+    def __init__(self, repo: Repository) -> None:
+        self._repo = repo
+        #: packages the replay added that no stored object held
+        self._added: dict[int, Package] = {}
+        #: the strings of those packages
+        self._strings: dict[str, str] = {}
+        self._base_packages: dict[str, list[Package]] | None = None
+        self._bases: dict[tuple, BaseImage] | None = None
+        self._keys: dict[str, str] | None = None
+
+    def _in_bases(self, pkg: Package, key: int) -> Package | None:
+        """A stored base's own package with blob key ``key``."""
+        if self._base_packages is None:
+            self._base_packages = {}
+            for base in self._repo.base_images():
+                for own in base.packages:
+                    self._base_packages.setdefault(own.name, []).append(own)
+        for own in self._base_packages.get(pkg.name, ()):
+            if own.blob_key() == key:
+                return own
+        return None
+
+    def package(self, pkg: Package) -> Package:
+        """The held package with ``pkg``'s blob key, else ``pkg``, its
+        strings pointed at those of the packages added before it."""
+        key = pkg.blob_key()
+        held = (
+            self._repo.find_package(key)
+            or self._added.get(key)
+            or self._in_bases(pkg, key)
+        )
+        if held is None:
+            share_strings(pkg, self._strings)
+            self._added[key] = held = pkg
+        return held
+
+    def base(self, base: BaseImage) -> BaseImage:
+        """``base`` over held packages, and over the attributes and
+        skeleton of a held base with the same quadruple when equal."""
+        if self._bases is None:
+            self._bases = {
+                held.attrs.key(): held for held in self._repo.base_images()
+            }
+        packages = tuple(self.package(pkg) for pkg in base.packages)
+        attrs, skeleton = base.attrs, base.skeleton
+        twin = self._bases.setdefault(attrs.key(), base)
+        if twin is not base and twin.attrs == attrs:
+            attrs = twin.attrs
+            if twin.skeleton == skeleton:
+                skeleton = twin.skeleton
+        if (
+            attrs is not base.attrs
+            or skeleton is not base.skeleton
+            or any(a is not b for a, b in zip(packages, base.packages))
+        ):
+            base = BaseImage(attrs=attrs, packages=packages, skeleton=skeleton)
+        return base
+
+    def vertex_keys(self) -> dict[str, str]:
+        """The vertex keys of every master's package graph, ``{k: k}``
+        (the first master's object where two hold equal keys); kept
+        current by :meth:`SemanticGraph.share_keys` on each replayed
+        graph."""
+        if self._keys is None:
+            self._keys = {}
+            for master in self._repo.master_graphs():
+                for key in master.package_graph.node_keys():
+                    self._keys.setdefault(key, key)
+        return self._keys
+
+
+def apply_op(
+    repo: Repository,
+    record: OpLogRecord,
+    held: HeldPayloads | None = None,
+) -> None:
     """Apply one journaled primitive to a repository.
+
+    ``held`` lets a run of records share one :class:`HeldPayloads`
+    (built here when omitted).
 
     Raises:
         WorkspaceError: an op name outside the journaled surface.
     """
     if record.op not in _REPLAYABLE_OPS:
         raise WorkspaceError(f"unknown op-log operation {record.op!r}")
-    # a record's packages unpickle as fresh copies: master vertices are
-    # pointed at the store's (or the base's) objects before they join,
-    # so later checkpoints pickle each package once
+    # a record's payload unpickles as fresh copies: it is pointed at
+    # what the repository already holds before it joins, so later
+    # checkpoints pickle each object once
+    if held is None:
+        held = HeldPayloads(repo)
     if record.op == "put_master_graph":
         (state,) = record.args
         base = repo.get_base_image(state["base_key"])
+        state["package_graph"].share_keys(held.vertex_keys())
         repo.put_master_graph(
             master_from_state(base, state, repo.find_package)
         )
@@ -161,6 +271,15 @@ def apply_op(repo: Repository, record: OpLogRecord) -> None:
         base_key, subgraph = record.args[:2]
         master = repo.get_master_graph(base_key)
         master.share_payloads(subgraph, repo.find_package)
+        subgraph.share_keys(held.vertex_keys())
+    elif record.op == "store_package":
+        (pkg,) = record.args
+        repo.store_package(held.package(pkg))
+        return
+    elif record.op == "store_base_image":
+        (base,) = record.args
+        repo.store_base_image(held.base(base))
+        return
     getattr(repo, record.op)(*record.args)
 
 
@@ -170,9 +289,10 @@ def replay_ops(repo: Repository, ops) -> int:
     The repository must not have a journal attached (replay would
     re-journal every op); callers attach afterwards.
     """
+    held = HeldPayloads(repo)
     n = 0
     for record in ops:
-        apply_op(repo, record)
+        apply_op(repo, record, held)
         n += 1
     return n
 

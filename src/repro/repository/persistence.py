@@ -12,11 +12,16 @@ graphs carry their membership ``revision`` and the repository carries
 its ``mutations`` counter, so derived-state caches persisted across
 sessions (assembly plans take integer fast paths on ``mutations``
 and on master revisions) can never falsely validate against a
-reloaded repository.  Dirty-base state rides along as in v1; the
-liveness refcounts and zero-reference sets are reconstructed through
-the same store/record primitives that maintain them online, which
-reproduces them exactly (fsck's ``refcount-drift`` check pins the
-equivalence down).
+reloaded repository.  Dirty-base state rides along as in v1.
+
+Restoring is one :meth:`~repro.repository.repo.Repository.restore`
+call: one write-lock hold that fills the object maps, the blob store,
+the metadata index, the masters and the records in the orders the
+store/record primitives would insert them, journals nothing, and
+counts the liveness refcounts and zero-reference sets in one pass over
+the records' contributions — the arithmetic of
+:meth:`~repro.repository.repo.Repository.rebuild_refcounts`, which
+fsck's ``refcount-drift`` check compares against.
 
 Snapshots use pickle over the repository's plain-data state, read and
 written **only through the repository's public iteration API**
@@ -37,7 +42,7 @@ import pickle
 from pathlib import Path
 from typing import IO, Callable, TypeVar
 
-from repro.repository.master_graphs import master_from_state, master_state
+from repro.repository.master_graphs import master_state
 from repro.repository.repo import Repository
 
 __all__ = [
@@ -111,30 +116,29 @@ def save_repository(repo: Repository, path: str | Path) -> int:
 
 
 def restore_into(repo: Repository, state: dict) -> Repository:
-    """Apply a snapshot state dict to an (empty) repository.
+    """Apply a snapshot state dict to an empty repository.
+
+    One :meth:`~repro.repository.repo.Repository.restore` call: one
+    write-lock hold, nothing journaled.
 
     Raises:
-        ValueError: unknown snapshot format version.
+        ValueError: not a snapshot state, an unknown snapshot format
+            version, or a repository that is not empty.
+        NotInRepositoryError: a master names a base the snapshot does
+            not store.
     """
-    if state.get("version") not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported snapshot version {state.get('version')!r}"
-        )
-    for base in state["bases"]:
-        repo.store_base_image(base)
-    for pkg in state["packages"]:
-        repo.store_package(pkg)
-    for data in state["data"]:
-        repo.store_user_data(data)
-    for m in state["masters"]:
-        base = repo.get_base_image(m["base_key"])
-        repo.put_master_graph(master_from_state(base, m, repo.find_package))
-    for record, package_keys in state["records"]:
-        repo.record_vmi(record, package_keys=package_keys)
-    for base_key in state.get("dirty_bases", ()):
-        repo.mark_base_dirty(base_key)
-    if "mutations" in state:
-        repo.restore_mutations(state["mutations"])
+    version = state.get("version") if isinstance(state, dict) else None
+    if version not in _READABLE_VERSIONS:
+        raise ValueError(f"unsupported snapshot version {version!r}")
+    repo.restore(
+        bases=state["bases"],
+        packages=state["packages"],
+        user_data=state["data"],
+        masters=state["masters"],
+        records=state["records"],
+        dirty_bases=state.get("dirty_bases", ()),
+        mutations=state.get("mutations"),
+    )
     return repo
 
 

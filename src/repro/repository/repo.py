@@ -30,6 +30,7 @@ from repro.repository.locking import RepositoryLock
 from repro.repository.master_graphs import (
     MasterGraph,
     issue_revision,
+    master_from_state,
     master_state,
 )
 from repro.similarity.base import compatible_arch, same_release_version
@@ -191,25 +192,78 @@ class Repository:
         self._mutations += 1
 
     @_exclusive
-    def restore_mutations(self, count: int) -> None:
-        """Restore the mutation counter from a snapshot (reload only).
+    def restore(
+        self,
+        *,
+        bases,
+        packages,
+        user_data,
+        masters,
+        records,
+        dirty_bases=(),
+        mutations: int | None = None,
+    ) -> None:
+        """Fill this empty repository with snapshot content in one pass.
 
-        Snapshot fidelity requires the reloaded counter to equal the
-        saved one exactly: derived-state caches persisted across
-        sessions key their fast-path validity on this counter, so a
-        reloaded repository that restarted it from the rebuild's op
-        count could falsely validate them.  Monotonicity is preserved —
-        the counter only ever moves forward.
+        Lands exactly the state the primitives would reach applying the
+        same content one object at a time (bases, packages, user data,
+        then ``masters``, a list of master states, then ``records``, a
+        list of ``(record, package keys)`` pairs): the same insertion
+        orders in every map, the blob store and the metadata index, and
+        the refcounts :meth:`record_vmi` would have counted, including
+        the entries of keys a record names but nothing stores.  Nothing
+        is journaled.  ``mutations`` restores the saved counter exactly;
+        without it (snapshot format v1) the counter ends at the number
+        of primitives the content stands for.
 
         Raises:
-            ValueError: ``count`` is behind the current counter.
+            ValueError: the repository is not empty, or ``mutations``
+                is behind the primitive count of the content.
+            NotInRepositoryError: a master names a base not restored.
+            DuplicateEntryError: the content holds an object twice.
         """
-        if count < self._mutations:
+        if self._mutations or len(self.blobs) or self._vmi_records:
+            raise ValueError("restore needs an empty repository")
+        applied = 0
+        for base in bases:
+            self._add_base_image(base.blob_key(), base)
+            applied += 1
+        for pkg in packages:
+            self._add_package(pkg.blob_key(), pkg)
+            applied += 1
+        for data in user_data:
+            self._add_user_data(data)
+            applied += 1
+        for state in masters:
+            base = self.get_base_image(state["base_key"])
+            self._add_master(master_from_state(base, state, self.find_package))
+            applied += 1
+        base_refs, data_refs = self._base_refs, self._data_refs
+        pkg_refs = self._pkg_refs
+        for record, package_keys in records:
+            self._vmi_records[record.name] = record
+            self.db.insert_vmi(
+                record.name, record.base_key, record.data_label, package_keys
+            )
+            base_refs[record.base_key] = base_refs.get(record.base_key, 0) + 1
+            label = record.data_label
+            if label is not None:
+                data_refs[label] = data_refs.get(label, 0) + 1
+            for key in set(package_keys):
+                pkg_refs[key] = pkg_refs.get(key, 0) + 1
+            applied += 1
+        self._zero_bases = {k for k, n in base_refs.items() if n == 0}
+        self._zero_data = {k for k, n in data_refs.items() if n == 0}
+        self._zero_packages = {k for k, n in pkg_refs.items() if n == 0}
+        self._dirty_bases.update(dirty_bases)
+        if mutations is None:
+            mutations = applied
+        elif mutations < applied:
             raise ValueError(
                 f"mutation counter may not move backwards "
-                f"({self._mutations} -> {count})"
+                f"({applied} -> {mutations})"
             )
-        self._mutations = count
+        self._mutations = mutations
 
     def find_master_graph(self, base_key: int) -> MasterGraph | None:
         """The master graph of a base, ``None`` when absent.
@@ -365,8 +419,15 @@ class Repository:
         if self.blobs.contains(key):
             return False
         self._log("store_package", pkg)
-        self.blobs.put(key, BlobKind.PACKAGE, pkg.deb_size, str(pkg))
         self._mutated()
+        self._add_package(key, pkg)
+        return True
+
+    # reprolint: unlocked — only called inside locked primitives
+    def _add_package(self, key: int, pkg: Package) -> None:
+        """Put a package into the blob store, the object map and the
+        index, at refcount 0 unless records already count it."""
+        self.blobs.put(key, BlobKind.PACKAGE, pkg.deb_size, str(pkg))
         self._packages[key] = pkg
         self._pkg_refs.setdefault(key, 0)
         if self._pkg_refs[key] == 0:
@@ -381,7 +442,6 @@ class Repository:
                 installed_size=pkg.installed_size,
             )
         )
-        return True
 
     def get_package(self, key: int) -> Package:
         """Fetch a stored package object.
@@ -427,15 +487,21 @@ class Repository:
         if self.blobs.contains(data.blob_key()):
             return False
         self._log("store_user_data", data)
+        self._mutated()
+        self._add_user_data(data)
+        return True
+
+    # reprolint: unlocked — only called inside locked primitives
+    def _add_user_data(self, data: UserData) -> None:
+        """Put a user-data payload into the blob store and the object
+        map, at refcount 0 unless records already count it."""
         self.blobs.put(
             data.blob_key(), BlobKind.USER_DATA, data.size, data.label
         )
-        self._mutated()
         self._data[data.label] = data
         self._data_refs.setdefault(data.label, 0)
         if self._data_refs[data.label] == 0:
             self._zero_data.add(data.label)
-        return True
 
     def has_user_data(self, label: str) -> bool:
         """Is a user-data payload stored under ``label``?  The public
@@ -471,11 +537,19 @@ class Repository:
         if self.blobs.contains(key):
             return False
         self._log("store_base_image", base)
+        self._mutated()
+        self._add_base_image(key, base)
+        return True
+
+    # reprolint: unlocked — only called inside locked primitives
+    def _add_base_image(self, key: int, base: BaseImage) -> None:
+        """Put a base image into the blob store (as its qcow2), the
+        object map and the index, at refcount 0 unless records already
+        count it."""
         qcow = base_image_qcow2(base)
         self.blobs.put(
             key, BlobKind.BASE_IMAGE, qcow.size, str(base.attrs)
         )
-        self._mutated()
         self._bases[key] = base
         self._base_refs.setdefault(key, 0)
         if self._base_refs[key] == 0:
@@ -491,7 +565,6 @@ class Repository:
                 n_packages=len(base.packages),
             )
         )
-        return True
 
     @_exclusive
     def remove_base_image(self, key: int) -> BaseImage:
@@ -597,6 +670,10 @@ class Repository:
         # entry carries exactly what a reload cannot re-derive
         self._log("put_master_graph", master_state(master))
         self._mutated()
+        self._add_master(master)
+
+    # reprolint: unlocked — only called inside locked primitives
+    def _add_master(self, master: MasterGraph) -> None:
         siblings = self._masters_by_attrs.setdefault(
             master.attrs.key(), []
         )

@@ -46,7 +46,11 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.errors import WorkspaceError, WorkspaceLockedError
+from repro.errors import (
+    RepositoryError,
+    WorkspaceError,
+    WorkspaceLockedError,
+)
 from repro.repository.oplog import (
     UNLOADABLE,
     OpLog,
@@ -214,50 +218,79 @@ class Workspace:
         return repo
 
     def _load_locked(self) -> Repository:
-        """The snapshot-restore + replay body; lock already held."""
-        repo = Repository()
-        if self.snapshot_path.exists():
-            try:
-                state = pickle.loads(self.snapshot_path.read_bytes())
-            except UNLOADABLE as exc:
-                raise unloadable_error(
-                    f"snapshot {self.snapshot_path}", exc
-                ) from exc
-            try:
-                restore_into(repo, state)
-            except ValueError as exc:
-                raise WorkspaceError(
-                    f"workspace {self.path}: {exc}"
-                ) from exc
+        """The snapshot-restore + replay body; lock already held.
 
+        Restore and replay run under one hold of the repository write
+        lock, so each replayed primitive only re-enters it.
+        """
+        repo = Repository()
+        with repo.lock.write():
+            self._restore_snapshot(repo)
+            self._replay_oplog(repo)
+        repo.attach_journal(self._oplog)
+        return repo
+
+    def _restore_snapshot(self, repo: Repository) -> None:
+        """Fill ``repo`` from ``snapshot.bin`` when there is one.
+
+        Raises:
+            WorkspaceError: the snapshot is unreadable (truncated,
+                corrupt, or naming a class this process lacks), or its
+                content does not restore.
+        """
+        if not self.snapshot_path.exists():
+            return
+        try:
+            state = pickle.loads(self.snapshot_path.read_bytes())
+        except UNLOADABLE as exc:
+            raise unloadable_error(
+                f"snapshot {self.snapshot_path}", exc
+            ) from exc
+        except Exception as exc:
+            raise WorkspaceError(
+                f"snapshot {self.snapshot_path} is unreadable: {exc}"
+            ) from exc
+        try:
+            restore_into(repo, state)
+        except (ValueError, RepositoryError) as exc:
+            raise WorkspaceError(
+                f"workspace {self.path}: snapshot {self.snapshot_path} "
+                f"does not restore: {exc}"
+            ) from exc
+
+    def _replay_oplog(self, repo: Repository) -> None:
+        """Replay the op-log on top of the snapshot and open it for
+        appending (creating a fresh one when there is none).
+
+        Raises:
+            WorkspaceError: the op-log does not continue the snapshot,
+                or is unreadable.
+        """
         self.replayed_ops = 0
-        if self.oplog_path.exists():
-            paired = OpLog.read_header(self.oplog_path)
-            if paired == repo.mutations:
-                oplog, scan = OpLog.open(self.oplog_path)
-                self.replayed_ops = replay_ops(repo, scan.ops)
-                self._oplog = oplog
-            elif paired < repo.mutations:
-                # crash between checkpoint's snapshot write and its
-                # op-log reset: nothing ran in that window, so the
-                # snapshot subsumes every logged op — start fresh
-                self._oplog = OpLog.create(
-                    self.oplog_path, snapshot_mutations=repo.mutations
-                )
-            else:
-                raise WorkspaceError(
-                    f"workspace {self.path}: op-log continues a "
-                    f"snapshot at mutation {paired}, but the stored "
-                    f"snapshot is at {repo.mutations} — not a "
-                    "matching pair"
-                )
-        else:
+        if not self.oplog_path.exists():
             self._oplog = OpLog.create(
                 self.oplog_path, snapshot_mutations=repo.mutations
             )
-
-        repo.attach_journal(self._oplog)
-        return repo
+            return
+        paired = OpLog.read_header(self.oplog_path)
+        if paired == repo.mutations:
+            oplog, scan = OpLog.open(self.oplog_path)
+            self.replayed_ops = replay_ops(repo, scan.ops)
+            self._oplog = oplog
+        elif paired < repo.mutations:
+            # crash between checkpoint's snapshot write and its
+            # op-log reset: nothing ran in that window, so the
+            # snapshot subsumes every logged op — start fresh
+            self._oplog = OpLog.create(
+                self.oplog_path, snapshot_mutations=repo.mutations
+            )
+        else:
+            raise WorkspaceError(
+                f"workspace {self.path}: op-log continues a "
+                f"snapshot at mutation {paired}, but the stored "
+                f"snapshot is at {repo.mutations} — not a "
+                "matching pair"
+            )
 
     def adopt(self, repo: Repository) -> int:
         """Become durable storage for an existing in-memory repository.

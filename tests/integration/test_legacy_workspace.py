@@ -212,3 +212,86 @@ def test_older_reader_refuses_new_package_records_untouched(
         assert reopened.fsck().clean
     finally:
         reopened.close()
+
+
+def test_manifest_arrays_of_the_fixture_load_and_leave_at_checkpoint(
+    tmp_path,
+):
+    """``full_master_workspace`` pickles each manifest as three numpy
+    arrays (the ``(None, slots)`` state).  It opens and stays
+    byte-identical until its first checkpoint, which rewrites every
+    manifest as one buffer: no numpy global is left in either file."""
+    ws = _copy(tmp_path, "full_master_workspace")
+    pristine = _file_bytes(ws)
+    recorded = json.loads(pristine["digests.json"])
+    assert b"numpy" in pristine["snapshot.bin"]
+    system = Expelliarmus.open(ws)
+    try:
+        assert system.fsck().clean
+        assert _retrievals(system) == recorded
+    finally:
+        system.close()
+    assert _file_bytes(ws) == pristine
+
+    system = Expelliarmus.open(ws)
+    system.save()
+    system.close()
+    for name in ("snapshot.bin", "oplog.bin"):
+        assert b"numpy" not in (ws / name).read_bytes()
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.fsck().clean
+        assert _retrievals(reopened) == recorded
+    finally:
+        reopened.close()
+
+
+def _older_manifest_reader(context) -> None:
+    """This process as a build that predates ``_unpickle_manifest``:
+    no rebuild function, manifests pickled through their slots."""
+    from repro.image import manifest as manifest_module
+    from repro.image.manifest import FileManifest
+
+    def slots_state(self):
+        return None, {
+            "_ids": self._ids, "_sizes": self._sizes, "_ratios": self._ratios
+        }
+
+    context.delattr(manifest_module, "_unpickle_manifest")
+    context.delattr(FileManifest, "__reduce__")
+    context.setattr(FileManifest, "__getstate__", slots_state, raising=False)
+
+
+@pytest.mark.parametrize("checkpointed", (True, False))
+def test_older_reader_refuses_new_manifest_records_untouched(
+    tmp_path, monkeypatch, checkpointed
+):
+    """A build without ``_unpickle_manifest`` meets this build's
+    manifest records — in the snapshot, or (never checkpointed) in the
+    op-log's ``store_user_data`` / ``store_base_image`` records: it
+    must refuse the workspace, not read them as a torn tail."""
+    ws = tmp_path / "ws"
+    corpus = scale_corpus(4, n_families=1, seed="older-manifest-reader")
+    system = Expelliarmus.open(ws)
+    system.publish_many([corpus.build(i) for i in range(3)])
+    if checkpointed:
+        system.save()
+    system.publish(corpus.build(3))
+    system.close()
+    written = _file_bytes(ws)
+    ops = [r.op for r in OpLog.read(ws / "oplog.bin").ops]
+    assert "store_user_data" in ops
+
+    where = "snapshot" if checkpointed else "op-log"
+    with monkeypatch.context() as older:
+        _older_manifest_reader(older)
+        with pytest.raises(WorkspaceError, match=f"{where} .* cannot load"):
+            Expelliarmus.open(ws)
+    assert _file_bytes(ws) == written
+
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.workspace.replayed_ops == len(ops)
+        assert reopened.fsck().clean
+    finally:
+        reopened.close()

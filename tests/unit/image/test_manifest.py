@@ -146,8 +146,9 @@ class TestMemoizedTotal:
         assert m.total_size == 1_000_000
         # the memo leaves the pickled form exactly as it was
         assert pickle.dumps(m) == unmemoized
-        _, slots = m.__getstate__()
-        assert sorted(slots) == ["_ids", "_ratios", "_sizes"]
+        # the record is the count and the three columns, nothing else
+        _, (n, buffer) = m.__reduce__()
+        assert n == 40 and len(buffer) == 3 * 8 * n
         restored = pickle.loads(unmemoized)
         assert restored == m
         assert restored.total_size == 1_000_000

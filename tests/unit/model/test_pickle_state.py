@@ -6,14 +6,21 @@ be the same field-value list, in declaration order, so snapshot and
 op-log bytes do not change.  :class:`Package` is not slotted; it
 pickles as a call of ``_unpickle_package`` with its field values, which
 replaced a pickled instance dict keyed by the ten field names that
-older snapshots and op-logs still hold.
+older snapshots and op-logs still hold.  :class:`FileManifest` pickles
+as a call of ``_unpickle_manifest`` with its record count and one
+little-endian buffer of its three columns, which replaced three pickled
+numpy arrays: no numpy global is left in the stream.
 """
 
 import dataclasses
 import pickle
+import pickletools
 
+import numpy as np
 import pytest
 
+from repro.image import manifest as manifest_module
+from repro.image.manifest import FileManifest
 from repro.model.attributes import BaseImageAttrs, PackageAttrs
 from repro.model import package as package_module
 from repro.model.package import DependencySpec, Package, make_package
@@ -124,5 +131,102 @@ def test_reader_without_the_rebuild_function_gets_an_unloadable_record(
     blob = pickle.dumps(SAMPLES[-1], protocol=pickle.HIGHEST_PROTOCOL)
     monkeypatch.delattr(package_module, "_unpickle_package")
     monkeypatch.delattr(Package, "__setstate__")
+    with pytest.raises(UNLOADABLE):
+        pickle.loads(blob)
+
+
+# ----------------------------------------------------------------------
+# FileManifest: one buffer per manifest
+# ----------------------------------------------------------------------
+
+MANIFESTS = (
+    FileManifest.synthesize("pickle-state", 40, 1_000_000),
+    FileManifest.from_records([(2**64 - 1, 7, 0.5), (1, 0, 0.98)]),
+    FileManifest.empty(),
+)
+
+
+def _stream_globals(blob: bytes) -> set[str]:
+    """The module names a pickle stream imports from."""
+    strings = [
+        arg
+        for op, arg, _ in pickletools.genops(blob)
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "GLOBAL")
+    ]
+    return {s.split()[0] for s in strings if s.startswith(("repro", "numpy"))}
+
+
+def test_manifest_reduces_to_its_rebuild_function_and_one_buffer():
+    m = MANIFESTS[0]
+    rebuild, (n, buffer) = m.__reduce__()
+    assert rebuild is manifest_module._unpickle_manifest
+    assert n == 40
+    assert buffer == (
+        m.content_ids.astype("<u8").tobytes()
+        + m.sizes.astype("<i8").tobytes()
+        + m.gzip_ratios.astype("<f8").tobytes()
+    )
+
+
+@pytest.mark.parametrize("m", MANIFESTS, ids=("synth", "edges", "empty"))
+def test_manifest_roundtrip(m):
+    m.total_size  # fill the memo: it must not reach the pickle
+    blob = pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL)
+    again = pickle.loads(blob)
+    assert type(again) is FileManifest
+    assert again == m
+    for got, want in (
+        (again.content_ids, m.content_ids),
+        (again.sizes, m.sizes),
+        (again.gzip_ratios, m.gzip_ratios),
+    ):
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert not got.flags.writeable
+    assert again.total_size == m.total_size
+    assert again.n_files == m.n_files
+    assert pickle.dumps(again, protocol=pickle.HIGHEST_PROTOCOL) == blob
+    assert _stream_globals(blob) == {"repro.image.manifest"}
+
+
+def test_manifest_loads_the_older_slots_state():
+    """Snapshots and op-logs written before ``__reduce__`` pickle the
+    three arrays as a ``(None, slots)`` state."""
+    m = MANIFESTS[0]
+
+    class _SlotsState:
+        def __reduce_ex__(self, protocol):
+            return (
+                object.__new__,
+                (FileManifest,),
+                (None, {"_ids": m.content_ids, "_sizes": m.sizes,
+                        "_ratios": m.gzip_ratios}),
+            )
+
+    blob = pickle.dumps(_SlotsState(), protocol=pickle.HIGHEST_PROTOCOL)
+    assert "numpy" in {g.split(".")[0] for g in _stream_globals(blob)}
+    again = pickle.loads(blob)
+    assert type(again) is FileManifest
+    assert again == m
+    assert again.total_size == m.total_size
+    # and it pickles in the buffer form from then on
+    assert pickle.dumps(again, protocol=5) == pickle.dumps(m, protocol=5)
+
+
+def test_manifest_pickles_smaller_than_the_slots_state():
+    m = MANIFESTS[0]
+    old = pickle.dumps(
+        (None, {"_ids": m.content_ids, "_sizes": m.sizes,
+                "_ratios": m.gzip_ratios}),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    assert len(pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL)) < len(old)
+
+
+def test_reader_without_the_manifest_rebuild_gets_an_unloadable_record(
+    monkeypatch,
+):
+    blob = pickle.dumps(MANIFESTS[0], protocol=pickle.HIGHEST_PROTOCOL)
+    monkeypatch.delattr(manifest_module, "_unpickle_manifest")
     with pytest.raises(UNLOADABLE):
         pickle.loads(blob)

@@ -7,7 +7,9 @@ import pytest
 from repro.core.system import Expelliarmus
 from repro.errors import WorkspaceError
 from repro.image.builder import BuildRecipe
+from repro.repository.locking import RepositoryLock
 from repro.repository.workspace import Workspace
+from repro.workloads.scale import scale_corpus
 
 
 def _publish(system, mini_builder, name, primaries=("redis-server",)):
@@ -236,3 +238,110 @@ class TestPairing:
         )
         with pytest.raises(WorkspaceError):
             workspace.load()
+
+
+def _six_vmi_workspace(path) -> dict[str, bytes]:
+    """A checkpointed 6-VMI workspace with an op-log tail; its files."""
+    corpus = scale_corpus(8, n_families=2, seed="unreadable")
+    system = Expelliarmus.open(path)
+    system.publish_many([corpus.build(i) for i in range(6)])
+    system.save()
+    system.publish(corpus.build(6))
+    system.close()
+    return _files(path)
+
+
+def _files(path) -> dict[str, bytes]:
+    return {
+        name: (path / name).read_bytes()
+        for name in ("snapshot.bin", "oplog.bin")
+    }
+
+
+class TestUnreadableSnapshot:
+    """A snapshot that does not load or does not restore is a
+    ``WorkspaceError`` naming it: the lock is released and no file
+    changes."""
+
+    def _refused(self, path, match: str) -> None:
+        before = _files(path)
+        with pytest.raises(WorkspaceError, match=match):
+            Expelliarmus.open(path)
+        assert _files(path) == before
+        workspace = Workspace(path)
+        assert workspace.lock_holder() is None
+        # the lock is free: this process can claim it again
+        workspace._acquire_lock()
+        workspace._release_lock()
+
+    def test_truncated_snapshot(self, tmp_path):
+        path = tmp_path / "store"
+        files = _six_vmi_workspace(path)
+        snapshot = files["snapshot.bin"]
+        (path / "snapshot.bin").write_bytes(snapshot[: len(snapshot) // 2])
+        self._refused(path, r"snapshot .*snapshot\.bin is unreadable")
+
+    def test_garbage_snapshot(self, tmp_path):
+        path = tmp_path / "store"
+        _six_vmi_workspace(path)
+        (path / "snapshot.bin").write_bytes(b"\x80\x05not a pickle")
+        self._refused(path, r"snapshot .*snapshot\.bin is unreadable")
+
+    def test_master_naming_a_base_not_stored(self, tmp_path):
+        path = tmp_path / "store"
+        files = _six_vmi_workspace(path)
+        state = pickle.loads(files["snapshot.bin"])
+        named = state["masters"][0]["base_key"]
+        state["bases"] = [
+            b for b in state["bases"] if b.blob_key() != named
+        ]
+        (path / "snapshot.bin").write_bytes(
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        self._refused(path, r"snapshot .*snapshot\.bin does not restore")
+
+    def test_cli_reports_the_typed_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "store"
+        files = _six_vmi_workspace(path)
+        snapshot = files["snapshot.bin"]
+        (path / "snapshot.bin").write_bytes(snapshot[: len(snapshot) // 2])
+        assert main(["fsck", "--workspace", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot ")
+        assert "unreadable" in err
+        assert "Traceback" not in err
+        assert _files(path) == {**files, "snapshot.bin": snapshot[
+            : len(snapshot) // 2
+        ]}
+
+
+def test_restore_and_replay_take_the_write_lock_once(
+    mini_builder, tmp_path, monkeypatch
+):
+    """Reopening holds the repository write lock once across snapshot
+    restore and op-log replay; each replayed primitive re-enters it."""
+    system = Expelliarmus.open(tmp_path / "store")
+    _publish(system, mini_builder, "redis-vm")
+    system.save()
+    _publish(system, mini_builder, "nginx-vm", ("nginx",))
+    system.close()
+
+    top_level = []
+    acquire = RepositoryLock.acquire_write
+
+    def counting(lock, timeout=None):
+        if not lock.write_held:
+            top_level.append(lock)
+        acquire(lock, timeout)
+
+    monkeypatch.setattr(RepositoryLock, "acquire_write", counting)
+    workspace = Workspace(tmp_path / "store")
+    repo = workspace.load()
+    try:
+        assert workspace.replayed_ops > 0
+        # the load's hold, then attaching the journal
+        assert top_level == [repo.lock, repo.lock]
+    finally:
+        workspace.close()
