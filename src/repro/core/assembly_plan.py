@@ -22,8 +22,8 @@ set of ``(base image, primary set)`` combinations, so
   identity sequence)``.  Deriving reads the master's own indexes and
   builds no graph: each primary's root comes from the master's name
   population (``MasterGraph.primary_root``), ``GI[PS]`` is the ordered
-  union of the roots' closure keys, checked against the base from its
-  packages (``packages_compatibility``).
+  union of the roots' closure keys, checked against the base's name →
+  package map (``packages_compatibility``).
 * **execute** — run a plan against the repository, charging the four
   Figure-5a components.  Warm and cold retrieval differ only in the
   base-copy charge: batches clone a warm local copy of a base they
@@ -70,18 +70,36 @@ per live VMI record and drops the least recently served plan first, so
 a long-running daemon's churn (deletes, replaced bases) cannot grow
 it.
 
-**Assembled once.**  A plan entry also keeps, per user-data label, the
-image its plan assembled (its *template*): the first execution builds
-it, and later executions clone it
-(:meth:`~repro.model.vmi.VirtualMachineImage.clone`) instead of
-registering every base package and installing every step again.  Every
-execution still looks up each stored part and charges each component,
-in the same order, so errors and simulated seconds are those of a full
-build.  A template is cloned only while the looked-up base and user
-data are the very objects it was built from (packages are
-content-addressed, so a step's key fixes its content); it is dropped
-with its entry, and templates are bounded by the live record count
-like plans.
+**Assembled once.**  Execution builds from parts that are shared,
+each sound because what it is made of is immutable or checked by
+identity:
+
+* *a record per stored base*: the base object, its package-name set
+  and name → package map (derivation filters installs and checks
+  compatibility against them) and its *first-boot image*
+  ``VirtualMachineImage("", base)``: every base package registered,
+  no user data, no residue, so sysprep is a no-op on it and a build
+  clones it instead of registering every base package.  A record is
+  trusted only while the repository returns that very base object
+  under its key, and is dropped at the first request after its blob
+  is gone, so records never outnumber stored bases.
+* *a template per plan entry and user-data label*: the image the
+  entry's first execution built, the stored packages it installed and
+  the charges that followed its base copy (handle, reset, data import,
+  each step's import).  A later execution does a build's lookups in a
+  build's order (base, user data, each step's package); when each
+  returns the template's part, it charges the base copy as always,
+  then the recorded sequence in one
+  :meth:`~repro.sim.clock.SimulatedClock.advance_all` (the cost model
+  is a pure function of those parts, so the same floats land in the
+  same order), and returns a clone.  If any lookup fails or returns
+  another object, the image is built step by step, so errors, the
+  point they are raised and the clock are those of a full build.
+  Templates are dropped with their entry and bounded by the live
+  record count like plans.
+* *installed rows*: :class:`~repro.model.vmi.InstalledPackage` is
+  immutable, so a clone copies two dicts and shares every row; a role
+  change replaces the changed image's own row.
 
 This is the only implementation of Algorithm 3.  The paper-literal
 derivation — no plans, no caches — lives in the test suite as the
@@ -97,11 +115,14 @@ import dataclasses
 import threading
 from dataclasses import dataclass, field
 
-from repro.errors import IncompatibleImageError, RetrievalError
-from repro.image.guestfs import GuestfsHandle
-from repro.image.sysprep import sysprep
+from repro.errors import (
+    IncompatibleImageError,
+    NotInRepositoryError,
+    RetrievalError,
+)
 from repro.model.graph import PackageRole
-from repro.model.vmi import VirtualMachineImage
+from repro.model.package import Package
+from repro.model.vmi import BaseImage, VirtualMachineImage
 from repro.repository.master_graphs import MasterGraph
 from repro.repository.repo import Repository, VMIRecord
 from repro.sim.clock import SimulatedClock, TimeBreakdown
@@ -260,6 +281,29 @@ class PlannerStats:
         })
 
 
+@dataclass(frozen=True, slots=True)
+class _BaseRecord:
+    """What every plan over one stored base reads of it (module
+    docstring, "Assembled once")."""
+
+    base: BaseImage
+    names: frozenset[str]
+    by_name: dict[str, Package]
+    #: ``VirtualMachineImage("", base)``, which every build clones:
+    #: sysprep is a no-op on it
+    first_boot: VirtualMachineImage
+
+
+@dataclass(frozen=True, slots=True)
+class _Template:
+    """An image a plan assembled, the stored packages it installed (in
+    step order) and the charges that followed its base copy."""
+
+    vmi: VirtualMachineImage
+    packages: tuple[Package, ...]
+    charges: tuple[tuple[float, str], ...]
+
+
 @dataclass
 class _CacheEntry:
     plan: AssemblyPlan
@@ -271,7 +315,7 @@ class _CacheEntry:
     revision: int
     #: user-data label -> the image this plan assembled with it, cloned
     #: by later executions (module docstring, "Assembled once")
-    assembled: dict[str | None, VirtualMachineImage] = field(
+    assembled: dict[str | None, _Template] = field(
         default_factory=dict
     )
 
@@ -307,6 +351,11 @@ class AssemblyPlanner:
         #: base blobs with a warm local copy; entries are only trusted
         #: while the blob is still stored
         self._warm_bases: set[int] = set()
+        #: base blob -> its record, trusted while the repository holds
+        #: that very base object under the key; dropped once the blob
+        #: is gone, checked once per repository mutation
+        self._base_records: dict[int, _BaseRecord] = {}
+        self._swept_at: int | None = None
 
     # ------------------------------------------------------------------
     # plan cache
@@ -323,11 +372,13 @@ class AssemblyPlanner:
             return self._n_assembled
 
     def clear(self) -> None:
-        """Drop every cached plan, its templates and warm base copy."""
+        """Drop every cached plan, its templates, warm base copy and
+        per-base record."""
         with self._mutex:
             self._plans.clear()
             self._n_assembled = 0
             self._warm_bases.clear()
+            self._base_records.clear()
 
     def plan_for(self, request: RetrievalRequest) -> tuple[AssemblyPlan, bool]:
         """The plan for ``request``: ``(plan, served_from_cache)``.
@@ -348,6 +399,7 @@ class AssemblyPlanner:
     ) -> tuple[_CacheEntry, bool]:
         key = request.plan_key()
         with self._mutex:
+            self._drop_gone_bases()
             entry = self._plans.pop(key, None)
             if entry is not None:
                 # one integer compare while the repository is
@@ -391,6 +443,36 @@ class AssemblyPlanner:
             self._n_assembled -= len(entry.assembled)
             entry.assembled.clear()
 
+    def _drop_gone_bases(self) -> None:  # reprolint: unguarded
+        """Drop the per-base records whose blob is gone, once per
+        repository mutation.  Caller holds the mutex."""
+        mutations = self.repo.mutations
+        if self._swept_at == mutations:
+            return
+        self._swept_at = mutations
+        stored = self.repo.blobs.contains
+        for key in [k for k in self._base_records if not stored(k)]:
+            del self._base_records[key]
+
+    def _base_record(self, key: int) -> _BaseRecord:
+        """The record of the stored base ``key``, rebuilt when the
+        repository holds another object under the key.
+
+        Raises:
+            NotInRepositoryError: the base is not stored.
+        """
+        base = self.repo.get_base_image(key)
+        with self._mutex:
+            record = self._base_records.get(key)
+            if record is None or record.base is not base:
+                record = self._base_records[key] = _BaseRecord(
+                    base=base,
+                    names=base.package_names(),
+                    by_name={p.name: p for p in base.packages},
+                    first_boot=VirtualMachineImage("", base),
+                )
+            return record
+
     def _still_valid(self, entry: _CacheEntry) -> bool:
         """Are the inputs the entry's plan was derived from intact?
 
@@ -432,15 +514,14 @@ class AssemblyPlanner:
             closure_keys.update(graph.dependency_closure([root]))
             self.stats.subgraph_extractions += 1
         packages = graph.packages_at(closure_keys)
+        base = self._base_record(request.base_key)
         if request.primary_names:
             self.stats.compat_checks += 1
-            if packages_compatibility(master.base_subgraph, packages) != 1.0:
+            if packages_compatibility(base.by_name, packages) != 1.0:
                 raise IncompatibleImageError(
                     f"requested packages {request.primary_names} are not "
                     f"compatible with base {master.attrs}"
                 )
-        base = self.repo.get_base_image(request.base_key)
-        base_names = base.package_names()
         primary_set = set(request.primary_names)
         installs = tuple(
             InstallStep(
@@ -453,7 +534,7 @@ class AssemblyPlanner:
                 ),
             )
             for pkg in packages
-            if pkg.name not in base_names
+            if pkg.name not in base.names
         )
         closure = tuple(closure_keys)
         plan = AssemblyPlan(
@@ -511,68 +592,93 @@ class AssemblyPlanner:
         """Algorithm 3 lines 3-13, replayed from the plan.
 
         Every part is looked up and every component charged on every
-        call; the image is built only when the entry holds no template
-        for these very parts, and then becomes the template.
+        call.  While the entry's template for the data label was built
+        from the very parts the lookups return, the image is its clone
+        and its recorded charges are applied at once; otherwise the
+        image is built step by step and becomes the template.
         """
-        plan = entry.plan
-        base = self.repo.get_base_image(plan.base_key)
-        warm = self._charge_base_copy(plan, cold_base)
-
-        handle = GuestfsHandle(self.clock, self.cost, label="handle")
-        handle.launch()
-        self.clock.advance(self.cost.vmi_reset(), "reset")
-
-        data = None
-        if request.data_label is not None:
-            data = self.repo.get_user_data(request.data_label)
-            self.clock.advance(self.cost.read_bytes(data.size), "import")
-
         with self._mutex:
             template = entry.assembled.get(request.data_label)
-        build = (
-            template is None
-            or template.base is not base
-            or template.user_data is not data
-        )
-        if build:
-            vmi = VirtualMachineImage(request.name, base)
-            sysprep(vmi)
-            if data is not None:
-                vmi.attach_user_data(data)
-        else:
-            vmi = template.clone(request.name)
-        handle.mount(vmi)
+        if template is not None and self._holds(request, entry, template):
+            warm = self._charge_base_copy(entry.plan, cold_base)
+            self.clock.advance_all(template.charges)
+            return template.vmi.clone(request.name), warm
+        return self._build(request, entry, cold_base)
 
+    def _holds(
+        self, request: RetrievalRequest, entry: _CacheEntry, template: _Template
+    ) -> bool:
+        """Do the lookups of a build, in its order (base, user data,
+        each step's package), all return the template's parts?"""
+        repo = self.repo
+        try:
+            if repo.get_base_image(entry.plan.base_key) is not (
+                template.vmi.base
+            ):
+                return False
+            if request.data_label is not None and (
+                repo.get_user_data(request.data_label)
+                is not template.vmi.user_data
+            ):
+                return False
+            for step, pkg in zip(entry.plan.installs, template.packages):
+                if repo.get_package(step.blob_key) is not pkg:
+                    return False
+        except NotInRepositoryError:
+            return False
+        return True
+
+    def _build(
+        self, request: RetrievalRequest, entry: _CacheEntry, cold_base: bool
+    ) -> tuple[VirtualMachineImage, bool]:
+        """Build the image step by step, charging each component as its
+        part is looked up, and keep it as the entry's template."""
+        plan = entry.plan
+        base = self._base_record(plan.base_key)
+        warm = self._charge_base_copy(plan, cold_base)
+        charges: list[tuple[float, str]] = []
+
+        def charge(seconds: float, label: str) -> None:
+            self.clock.advance(seconds, label)
+            charges.append((seconds, label))
+
+        charge(self.cost.guestfs_launch(), "handle")
+        charge(self.cost.vmi_reset(), "reset")
+        vmi = base.first_boot.clone(request.name)
+        if request.data_label is not None:
+            data = self.repo.get_user_data(request.data_label)
+            charge(self.cost.read_bytes(data.size), "import")
+            vmi.attach_user_data(data)
+        packages: list[Package] = []
         for step in plan.installs:
             stored = self.repo.get_package(step.blob_key)
-            if build:
-                vmi.install_package(
-                    stored,
-                    step.role,
-                    auto=step.role is PackageRole.DEPENDENCY,
-                )
-            self.clock.advance(self.cost.import_package(stored), "import")
-
-        handle.shutdown()
-        if build:
-            self._remember(request, entry, vmi)
+            vmi.install_package(
+                stored, step.role, auto=step.role is PackageRole.DEPENDENCY
+            )
+            charge(self.cost.import_package(stored), "import")
+            packages.append(stored)
+        self._remember(
+            request,
+            entry,
+            _Template(vmi.clone(vmi.name), tuple(packages), tuple(charges)),
+        )
         return vmi, warm
 
     def _remember(
         self,
         request: RetrievalRequest,
         entry: _CacheEntry,
-        vmi: VirtualMachineImage,
+        template: _Template,
     ) -> None:
-        """Keep a private copy of a freshly built image as the entry's
-        template for its data label — unless the entry left the cache
-        meanwhile."""
+        """Keep a freshly built template (over a private copy of the
+        image) for the entry's data label — unless the entry left the
+        cache meanwhile."""
         with self._mutex:
             if self._plans.get(request.plan_key()) is not entry:
                 return
             if request.data_label not in entry.assembled:
                 self._n_assembled += 1
-            entry.assembled[request.data_label] = vmi.clone(vmi.name)
+            entry.assembled[request.data_label] = template
             self._trim_assembled()
 
     def _charge_base_copy(self, plan: AssemblyPlan, cold: bool) -> bool:

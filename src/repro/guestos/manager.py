@@ -70,12 +70,10 @@ class PackageManager:
         # a requested name that was already installed will not appear in
         # the plan; still promote its role (apt marks it manual).
         for name in requested_set:
-            rec = self.vmi.installed(name)
-            if rec is None:
+            if not self.vmi.has_package(name):
                 raise UnknownPackageError(name, where="guest after install")
             if role is PackageRole.PRIMARY:
-                rec.role = PackageRole.PRIMARY
-                rec.auto = False
+                self.vmi.mark_manual(name)
         return plan
 
     def install_package_object(

@@ -8,10 +8,11 @@ one up from a stored base image plus packages.
 State model
 -----------
 
-* every installed package is an :class:`InstalledPackage` record holding
-  the immutable :class:`~repro.model.package.Package` plus its role
+* every installed package is an immutable :class:`InstalledPackage`
+  row holding the :class:`~repro.model.package.Package` plus its role
   (primary / dependency / base member) and the dpkg-style *auto* mark
-  used by ``remove_unused_dependencies`` (apt's autoremove);
+  used by ``remove_unused_dependencies`` (apt's autoremove); a role
+  change replaces the row, so clones share rows;
 * every byte on the guest filesystem belongs to an *owner*: a package,
   the base-OS skeleton, or user data.  Owners map to
   :class:`~repro.image.manifest.FileManifest` objects, so mounted size
@@ -123,10 +124,15 @@ class _Footprint:
         self.digest: str | None = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class InstalledPackage:
-    """One row of the guest's installed-package database (slotted: a
-    cached plan's template holds one row per installed package)."""
+    """One row of the guest's installed-package database.
+
+    Immutable, so an image and its clones share their rows: a role
+    change replaces the changed image's row and never shows on
+    another.  Slotted: a cached plan's template holds one row per
+    installed package.
+    """
 
     package: Package
     role: PackageRole
@@ -192,8 +198,9 @@ class VirtualMachineImage:
             if existing.package.identity == pkg.identity:
                 # role strengthening only (dependency -> primary)
                 if _stronger(role, existing.role):
-                    existing.role = role
-                    existing.auto = existing.auto and auto
+                    self._installed[pkg.name] = InstalledPackage(
+                        existing.package, role, existing.auto and auto
+                    )
                 return
             raise PackageStateError(
                 f"{self.name}: {pkg.name} already installed at version "
@@ -219,6 +226,20 @@ class VirtualMachineImage:
         del self._installed[name]
         self._drop_owner(_pkg_owner(name))
         return rec.package
+
+    def mark_manual(self, name: str) -> None:
+        """apt-mark manual: the installed ``name`` becomes a primary
+        package, no longer auto-removable.
+
+        Raises:
+            PackageStateError: if ``name`` is not installed.
+        """
+        row = self._installed.get(name)
+        if row is None:
+            raise PackageStateError(f"{self.name}: {name} is not installed")
+        self._installed[name] = InstalledPackage(
+            row.package, PackageRole.PRIMARY, False
+        )
 
     def has_package(self, name: str) -> bool:
         return name in self._installed
@@ -367,19 +388,17 @@ class VirtualMachineImage:
     def clone(self, name: str) -> "VirtualMachineImage":
         """An independent copy of this image named ``name``.
 
-        The copy gets its own installed-row table (new
-        :class:`InstalledPackage` rows, so a role change on one image
-        never shows on the other) and its own owner map over the same
-        immutable manifests, and shares the lazily computed
-        footprint until either image changes its files.
+        The copy gets its own installed-row table over the same
+        immutable :class:`InstalledPackage` rows (a role change replaces
+        the changed image's row, so it never shows on the other) and
+        its own owner map over the same immutable manifests: two dict
+        copies.  It shares the lazily computed footprint until either
+        image changes its files.
         """
         twin = VirtualMachineImage.__new__(VirtualMachineImage)
         twin.name = name
         twin.base = self.base
-        twin._installed = {
-            key: InstalledPackage(row.package, row.role, row.auto)
-            for key, row in self._installed.items()
-        }
+        twin._installed = dict(self._installed)
         twin._manifests = dict(self._manifests)
         twin._footprint = self._facts()
         twin.user_data = self.user_data

@@ -250,6 +250,17 @@ class MasterGraph:
             GraphModelError: see :meth:`require_compatible`.
         """
         self.require_compatible(subgraph)
+        self.add_compatible_subgraph(subgraph, vmi_name, revision=revision)
+
+    def add_compatible_subgraph(
+        self,
+        subgraph: SemanticGraph,
+        vmi_name: str | None = None,
+        *,
+        revision: int | None = None,
+    ) -> None:
+        """:meth:`add_primary_subgraph` for a subgraph the caller has
+        just passed through :meth:`require_compatible`."""
         self._sync_fingerprints()
         fresh: list[Package] | None = None
         if self._population is not None or self._full_map is not None:

@@ -32,8 +32,9 @@ Each record unpickles on its own, so a replayed payload shares no
 object with what the repository already holds.  Replay points it at
 the held objects (:class:`HeldPayloads`): packages by blob key, a
 base's attributes and skeleton, the strings of replayed packages, the
-masters' vertex keys — so the next checkpoint pickles each once, as a
-snapshot load would have kept them.
+masters' vertex keys, and a VMI record's name, primary identities and
+data label — so the next checkpoint pickles each once, as a snapshot
+load would have kept them.
 
 Log layout: one header record naming the op-log format version and the
 ``mutations`` counter of the snapshot this log continues from (so a
@@ -58,6 +59,7 @@ trusted sources (it is produced and consumed by the same application).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import threading
@@ -69,7 +71,7 @@ from repro.model.package import Package, share_strings
 from repro.model.vmi import BaseImage
 from repro.repository.master_graphs import master_from_state
 from repro.repository.persistence import replace_atomically
-from repro.repository.repo import Repository
+from repro.repository.repo import Repository, VMIRecord
 
 __all__ = [
     "HeldPayloads",
@@ -157,8 +159,9 @@ class ReplayReport:
 class HeldPayloads:
     """What a replay points unpickled payloads at: the package objects
     the repository holds by blob key (the package store's, else a
-    stored base's own), one stored base per attribute quadruple, and
-    the masters' vertex keys.
+    stored base's own), one stored base per attribute quadruple, the
+    masters' vertex keys and member names, the held packages' identity
+    tuples and the held user data's labels.
 
     Each op-log record unpickles on its own, so a replayed payload
     shares nothing with the objects already held; pointing it at them
@@ -177,6 +180,7 @@ class HeldPayloads:
         self._base_packages: dict[str, list[Package]] | None = None
         self._bases: dict[tuple, BaseImage] | None = None
         self._keys: dict[str, str] | None = None
+        self._identities: dict[tuple, tuple] | None = None
 
     def _in_bases(self, pkg: Package, key: int) -> Package | None:
         """A stored base's own package with blob key ``key``."""
@@ -202,6 +206,8 @@ class HeldPayloads:
         if held is None:
             share_strings(pkg, self._strings)
             self._added[key] = held = pkg
+            if self._identities is not None:
+                self._identities.setdefault(pkg.identity, pkg.identity)
         return held
 
     def base(self, base: BaseImage) -> BaseImage:
@@ -225,6 +231,36 @@ class HeldPayloads:
         ):
             base = BaseImage(attrs=attrs, packages=packages, skeleton=skeleton)
         return base
+
+    def record(self, rec: VMIRecord) -> VMIRecord:
+        """``rec`` over held strings: its name the entry of its
+        master's members, its primary identities (and names) the held
+        packages' identity tuples, its data label the held user
+        data's."""
+        if self._identities is None:
+            self._identities = {}
+            for pkg in self._repo.packages():
+                self._identities.setdefault(pkg.identity, pkg.identity)
+        identities = tuple(
+            self._identities.get(i, i) for i in rec.primary_identities
+        )
+        names = {i[0]: i[0] for i in identities}
+        name = rec.name
+        master = self._repo.find_master_graph(rec.base_key)
+        if master is not None:
+            name = next(
+                (n for n in reversed(master.member_vmis) if n == name), name
+            )
+        label = rec.data_label
+        if label is not None and self._repo.has_user_data(label):
+            label = self._repo.get_user_data(label).label
+        return dataclasses.replace(
+            rec,
+            name=name,
+            primary_names=tuple(names.get(n, n) for n in rec.primary_names),
+            data_label=label,
+            primary_identities=identities,
+        )
 
     def vertex_keys(self) -> dict[str, str]:
         """The vertex keys of every master's package graph, ``{k: k}``
@@ -279,6 +315,10 @@ def apply_op(
     elif record.op == "store_base_image":
         (base,) = record.args
         repo.store_base_image(held.base(base))
+        return
+    elif record.op == "record_vmi":
+        rec, package_keys = record.args
+        repo.record_vmi(held.record(rec), package_keys)
         return
     getattr(repo, record.op)(*record.args)
 

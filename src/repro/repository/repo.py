@@ -708,7 +708,7 @@ class Repository:
             revision = issue_revision()
         self._log("add_master_member", base_key, subgraph, vmi_name, revision)
         self._mutated()
-        master.add_primary_subgraph(subgraph, vmi_name, revision=revision)
+        master.add_compatible_subgraph(subgraph, vmi_name, revision=revision)
 
     def master_graphs(self) -> list[MasterGraph]:
         return list(self._masters.values())

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 __all__ = ["SimulatedClock", "TimeBreakdown"]
 
@@ -82,6 +82,23 @@ class SimulatedClock:
             self._now += seconds
         for window in self._windows:
             window[label] = window.get(label, 0.0) + seconds
+
+    def advance_all(self, charges: Sequence[tuple[float, str]]) -> None:
+        """``advance(seconds, label)`` for each charge, in order: the
+        same floats added in the same order to ``now`` and to every
+        open window.  A negative duration anywhere raises before
+        anything is charged."""
+        for seconds, _ in charges:
+            if seconds < 0:
+                raise ValueError(f"cannot advance clock by {seconds} s")
+        with self._lock:
+            now = self._now
+            for seconds, _ in charges:
+                now += seconds
+            self._now = now
+        for window in self._windows:
+            for seconds, label in charges:
+                window[label] = window.get(label, 0.0) + seconds
 
     @contextmanager
     def measure(self) -> Iterator[TimeBreakdown]:

@@ -21,7 +21,7 @@ product is 1 — the base simply provides nothing the primaries constrain.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from repro.model.graph import SemanticGraph
 from repro.model.package import Package
@@ -38,18 +38,22 @@ def semantic_compatibility(
     base_subgraph: SemanticGraph, primary_subgraph: SemanticGraph
 ) -> float:
     """``comp`` in ``[0, 1]``: product of homonym package similarities."""
-    return packages_compatibility(base_subgraph, primary_subgraph.packages())
+    return packages_compatibility(
+        {p.name: p for p in base_subgraph.packages()},
+        primary_subgraph.packages(),
+    )
 
 
 def packages_compatibility(
-    base_subgraph: SemanticGraph, packages: Iterable[Package]
+    base_pkgs: Mapping[str, Package], packages: Iterable[Package]
 ) -> float:
-    """``comp`` against the subgraph whose payloads are ``packages``.
+    """``comp`` of a base given as its name → package map against the
+    subgraph whose payloads are ``packages``.
 
     For callers that hold a subgraph's packages but no graph, such as
-    a plan derived from a master's closure key set.
+    a plan derived from a master's closure key set, and that keep the
+    base's map across calls (the planner's per-base record).
     """
-    base_pkgs = {p.name: p for p in base_subgraph.packages()}
     value = 1.0
     for pkg in packages:
         counterpart = base_pkgs.get(pkg.name)

@@ -22,7 +22,7 @@ from repro.workloads.scale import scale_corpus
 N_VMIS = 120
 #: images published before the checkpoint; the rest are replayed
 CHECKPOINTED = 20
-SECTIONS = ("bases", "packages", "masters")
+SECTIONS = ("bases", "packages", "masters", "records")
 
 
 def _sizes(repo) -> dict[str, int]:

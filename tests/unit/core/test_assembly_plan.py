@@ -1,11 +1,13 @@
 """Unit tests for assembly planning (plan cache + execution)."""
 
 import dataclasses
+import pickle
 
 import pytest
 from algorithm3_oracle import reference_assemble, reference_retrieve
 
 from repro.core.assembly_plan import RetrievalRequest
+from repro.core.system import Expelliarmus
 from repro.errors import NotInRepositoryError, RetrievalError
 from repro.image.builder import BuildRecipe
 from repro.model.graph import PackageRole, SemanticGraph
@@ -230,6 +232,7 @@ class TestPlanCache:
         assert len(planner) == 1
         planner.clear()
         assert len(planner) == 0
+        assert planner._base_records == {}
         planned = planner.assemble(_request(populated, "redis-vm"))
         assert not planned.plan_hit
         assert not planned.warm_base
@@ -373,6 +376,66 @@ class TestPlanExecution:
         assert delta.requests == 1
         assert delta.plan_hits == 1
         assert delta.plans_derived == 0
+
+
+class TestBaseRecords:
+    def test_first_boot_image_rebuilt_when_the_base_object_changes(
+        self, populated
+    ):
+        planner, repo = populated.planner, populated.repo
+        request = _request(populated, "redis-vm")
+        planner.assemble(request)
+        planner.assemble(request)
+        key = request.base_key
+        record = planner._base_records[key]
+        assert record.base is repo.get_base_image(key)
+        assert record.first_boot.base is record.base
+        assert record.first_boot.user_data is None
+
+        # an equal base, stored again as another object under the key
+        master = repo.get_master_graph(key)
+        twin = pickle.loads(pickle.dumps(repo.remove_base_image(key)))
+        assert twin is not record.base
+        repo.store_base_image(twin)
+        repo.put_master_graph(master)
+        served = planner.assemble(request).report.vmi
+        rebuilt = planner._base_records[key]
+        assert rebuilt is not record
+        assert rebuilt.base is twin and rebuilt.first_boot.base is twin
+        assert served.base is twin
+        oracle = reference_retrieve(populated, "redis-vm")
+        assert served.manifest_digest() == oracle.vmi.manifest_digest()
+        planner.assemble(request)
+        assert planner._base_records[key] is rebuilt
+
+    def test_records_never_outnumber_stored_bases(self, scale_corpus_factory):
+        """Base replacement and GC remove bases; the record of a base
+        whose blob is gone leaves at the next request."""
+        corpus = scale_corpus_factory(
+            12, n_families=2, seed="oracle-fat", fat_base_pct=30
+        )
+        system = Expelliarmus()
+        planner = system.planner
+        names = [corpus.spec(i).name for i in range(12)]
+        seen = set()
+
+        def retrieve_all(published):
+            for name in published:
+                system.retrieve(name)
+                stored = {b.blob_key() for b in system.repo.base_images()}
+                assert set(planner._base_records) <= stored
+                seen.update(planner._base_records)
+
+        replaced = 0
+        for index in range(12):
+            replaced += system.publish(corpus.build(index)).replaced_bases
+            retrieve_all(names[: index + 1])
+        kept = names[::3]
+        system.delete_many([n for n in names if n not in kept])
+        system.garbage_collect()
+        retrieve_all(kept)
+        assert replaced > 0
+        assert len(seen) > len(planner._base_records)
 
 
 def _blob_args(system, base):

@@ -195,10 +195,12 @@ def test_shared_selection_memo_survives_concurrent_publish_shards(
 
 
 def test_assembled_templates_survive_racing_callers(scale_corpus_factory):
-    """Racing retrievals share each plan's template: every caller gets
-    its own image (mutating it changes no other), digests filled in
-    concurrently are the single-threaded ones, and the template count
-    matches what the entries hold, within the live-record bound."""
+    """Racing retrievals share each plan's template and each base's
+    first-boot image: every caller gets its own image (mutating it
+    changes no other), digests filled in concurrently are the
+    single-threaded ones, the template count matches what the entries
+    hold, within the live-record bound, and each per-base record holds
+    the stored base object."""
     system, names = _published_system(scale_corpus_factory)
 
     def observe(vmi):
@@ -220,9 +222,10 @@ def test_assembled_templates_survive_racing_callers(scale_corpus_factory):
             vmi = system.retrieve(name).vmi
             if observe(vmi) != reference[name]:  # pragma: no cover
                 mismatches.append(name)
-            # callers own what they get back
+            # callers own what they get back; the rows they share
+            # with the template are immutable
             for row in vmi.installed_packages():
-                row.role = PackageRole.PRIMARY
+                vmi.mark_manual(row.name)
             vmi.detach_user_data()
 
     interval = sys.getswitchinterval()
@@ -237,3 +240,14 @@ def test_assembled_templates_survive_racing_callers(scale_corpus_factory):
     held = sum(len(e.assembled) for e in planner._plans.values())
     assert planner.n_assembled == held == len(names)
     assert held <= system.repo.vmi_count()
+    stored = {b.blob_key(): b for b in system.repo.base_images()}
+    records = planner._base_records
+    assert 0 < len(records) <= len(stored)
+    for key, record in records.items():
+        assert record.base is stored[key]
+        first_boot = record.first_boot
+        assert first_boot.user_data is None
+        assert all(
+            r.role is PackageRole.BASE_MEMBER
+            for r in first_boot.installed_packages()
+        )

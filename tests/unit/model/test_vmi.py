@@ -230,7 +230,8 @@ class TestClone:
         vmi = self._vmi()
         digest, size = vmi.manifest_digest(), vmi.mounted_size
         twin = vmi.clone("twin")
-        twin.installed("lib").role = PackageRole.PRIMARY
+        twin.mark_manual("lib")
+        assert twin.installed("lib").role is PackageRole.PRIMARY
         twin.remove_package("app")
         twin.attach_residue(FileManifest.synthesize("r", 3, 9_000))
         assert vmi.installed("lib").role is PackageRole.DEPENDENCY
@@ -238,6 +239,45 @@ class TestClone:
         assert vmi.residue_size == 0
         assert (vmi.manifest_digest(), vmi.mounted_size) == (digest, size)
         assert twin.mounted_size == twin.full_manifest().total_size
+
+    def test_role_strengthening_on_a_clone_stays_on_the_clone(self):
+        vmi = self._vmi()
+        twin = vmi.clone("twin")
+        twin.install_package(app_pkg("lib"), PackageRole.PRIMARY)
+        assert twin.installed("lib").role is PackageRole.PRIMARY
+        assert twin.installed("lib").auto is False
+        assert vmi.installed("lib").role is PackageRole.DEPENDENCY
+        assert vmi.installed("lib").auto is True
+
+    def test_rows_are_shared_and_immutable(self):
+        vmi = self._vmi()
+        twin = vmi.clone("twin")
+        assert twin.installed("app") is vmi.installed("app")
+        row = twin.installed("lib")
+        with pytest.raises(AttributeError):
+            row.role = PackageRole.PRIMARY
+        with pytest.raises(AttributeError):
+            row.auto = False
+        assert row.role is PackageRole.DEPENDENCY and row.auto is True
+
+
+class TestMarkManual:
+    def test_dependency_becomes_a_manual_primary(self):
+        vmi = make_vmi()
+        vmi.install_package(app_pkg("lib"), PackageRole.DEPENDENCY, auto=True)
+        vmi.install_package(app_pkg(), PackageRole.PRIMARY)
+        vmi.mark_manual("lib")
+        row = vmi.installed("lib")
+        assert (row.role, row.auto) == (PackageRole.PRIMARY, False)
+        # the row keeps its place in the installed table
+        assert [r.name for r in vmi.installed_packages()] == [
+            "libc", "lib", "app",
+        ]
+        assert vmi.remove_unused_dependencies() == []
+
+    def test_missing_package_raises(self):
+        with pytest.raises(PackageStateError):
+            make_vmi().mark_manual("nope")
 
 
 class TestDecompositionSupport:

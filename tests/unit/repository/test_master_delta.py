@@ -12,11 +12,15 @@ import pickle
 import pytest
 
 from repro.core.system import Expelliarmus
-from repro.errors import WorkspaceError
+from repro.errors import GraphModelError, WorkspaceError
+from repro.model.graph import PackageRole, SemanticGraph
+from repro.model.package import make_package
+from repro.repository import master_graphs
 from repro.repository import oplog as oplog_module
 from repro.repository.master_graphs import master_content
 from repro.repository.oplog import OpLog, replay_ops
 from repro.repository.repo import Repository
+from repro.similarity.compatibility import is_compatible
 from repro.workloads.scale import scale_corpus
 
 
@@ -208,3 +212,55 @@ def test_reader_without_the_op_refuses_and_changes_no_file(
     with pytest.raises(WorkspaceError, match="add_master_member"):
         Expelliarmus.open(ws)
     assert {p.name: p.read_bytes() for p in ws.iterdir()} == before
+
+
+class TestMemberCompatibility:
+    """``add_master_member`` checks the upload against the base once,
+    before anything is journaled."""
+
+    @pytest.fixture
+    def stored(self):
+        system = Expelliarmus()
+        system.publish(scale_corpus(4, n_families=1, seed="member").build(0))
+        (master,) = system.repo.master_graphs()
+        recorder = _Recorder()
+        system.repo.attach_journal(recorder)
+        return system.repo, master, recorder
+
+    @staticmethod
+    def _upload(pkg):
+        graph = SemanticGraph()
+        graph.add_package(pkg, PackageRole.PRIMARY)
+        return graph
+
+    def test_incompatible_member_raises_with_nothing_journaled(self, stored):
+        repo, master, recorder = stored
+        clash = master.base.packages[0]
+        upload = self._upload(make_package(clash.name, "999.0"))
+        before = (
+            master_content(master), master.revision,
+            list(master.member_vmis), repo.mutations,
+        )
+        with pytest.raises(GraphModelError):
+            repo.add_master_member(master.base_key, upload, "clash-vm")
+        assert recorder.records == []
+        assert before == (
+            master_content(master), master.revision,
+            list(master.member_vmis), repo.mutations,
+        )
+
+    def test_compatible_member_is_checked_once(self, stored, monkeypatch):
+        repo, master, recorder = stored
+        checks = []
+
+        def counting(base_subgraph, subgraph):
+            checks.append(subgraph)
+            return is_compatible(base_subgraph, subgraph)
+
+        monkeypatch.setattr(master_graphs, "is_compatible", counting)
+        upload = self._upload(make_package("member-only-tool", "1.0"))
+        repo.add_master_member(master.base_key, upload, "tool-vm")
+        assert checks == [upload]
+        assert [r[0] for r in recorder.records] == ["add_master_member"]
+        assert master.member_vmis[-1] == "tool-vm"
+        assert master.has_package("member-only-tool")

@@ -1,6 +1,8 @@
 """Unit tests for the simulated clock and time breakdowns."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import SimulatedClock, TimeBreakdown
 
@@ -18,6 +20,62 @@ class TestClock:
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1)
+
+
+_CHARGES = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True),
+        st.sampled_from(["base-copy", "handle", "reset", "import"]),
+    ),
+    max_size=12,
+)
+
+
+def _windowed(start, before, charge):
+    """``now`` and both windows (an outer one opened over ``before``)
+    after ``charge(clock)``, as exact float bits."""
+    clock = SimulatedClock()
+    clock.advance(start, "setup")
+    with clock.measure() as outer:
+        for seconds, label in before:
+            clock.advance(seconds, label)
+        with clock.measure() as inner:
+            charge(clock)
+    return clock.now.hex(), [
+        [(label, value.hex()) for label, value in window.totals.items()]
+        for window in (outer, inner)
+    ]
+
+
+class TestAdvanceAll:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.floats(min_value=0.0, max_value=1e9),
+        before=_CHARGES,
+        charges=_CHARGES,
+    )
+    def test_matches_a_loop_of_advance_bit_for_bit(
+        self, start, before, charges
+    ):
+        def one_by_one(clock):
+            for seconds, label in charges:
+                clock.advance(seconds, label)
+
+        assert _windowed(start, before, one_by_one) == _windowed(
+            start, before, lambda clock: clock.advance_all(charges)
+        )
+
+    def test_negative_duration_rejected_before_any_charge(self):
+        clock = SimulatedClock()
+        clock.advance(1.25, "handle")
+        with clock.measure() as window:
+            clock.advance(0.5, "reset")
+            with pytest.raises(ValueError):
+                clock.advance_all(
+                    [(2.0, "import"), (-1.0, "import"), (3.0, "handle")]
+                )
+        assert clock.now == 1.75
+        assert window.totals == {"reset": 0.5}
 
 
 class TestMeasure:
