@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from repro.model.graph import SemanticGraph
 from repro.model.package import Package
 from repro.model.vmi import BaseImage
-from repro.repository.master_graphs import MasterGraph, base_subgraph_of
+from repro.repository.master_graphs import base_subgraph_of
 from repro.repository.repo import Repository
 from repro.similarity.base import same_base_attrs
 from repro.similarity.compatibility import is_compatible
@@ -174,10 +174,6 @@ class SelectionMemo:
         #: verdict of "candidate base is compatible with all of other's
         #: members"); superseded revisions are overwritten in place
         self._compat: dict[tuple[int, int], tuple[int, bool]] = {}
-        #: master base_key -> (revision, extracted member subgraphs)
-        self._member_subgraphs: dict[
-            int, tuple[int, tuple[SemanticGraph, ...]]
-        ] = {}
         #: blob key -> the base's score vector: its name→package map,
         #: precomputed once per base so every compatibility test against
         #: it is a dict probe per shared name
@@ -192,7 +188,6 @@ class SelectionMemo:
             self._base_subgraphs.clear()
             self._base_pkg_sizes.clear()
             self._compat.clear()
-            self._member_subgraphs.clear()
             self._base_maps.clear()
             self._pair_compat.clear()
 
@@ -201,7 +196,6 @@ class SelectionMemo:
         with self._mutex:
             self._base_subgraphs.pop(key, None)
             self._base_pkg_sizes.pop(key, None)
-            self._member_subgraphs.pop(key, None)
             self._base_maps.pop(key, None)
             for pair in [p for p in self._compat if key in p]:
                 del self._compat[pair]
@@ -226,34 +220,6 @@ class SelectionMemo:
                 )
                 self._base_pkg_sizes[cand.key] = size
             return size
-
-    def member_subgraphs(
-        self, master: MasterGraph
-    ) -> tuple[SemanticGraph, ...]:
-        with self._mutex:
-            hit = self._member_subgraphs.get(master.base_key)
-            if hit is not None and hit[0] == master.revision:
-                return hit[1]
-            subs = tuple(
-                master.extract_primary_subgraph(p.name, str(p.version))
-                for p in master.primary_packages()
-            )
-            self._member_subgraphs[master.base_key] = (
-                master.revision,
-                subs,
-            )
-            return subs
-
-    def base_map(self, cand: "_Candidate") -> dict[str, Package]:
-        """The candidate base's precomputed name→package score vector."""
-        with self._mutex:
-            base_map = self._base_maps.get(cand.key)
-            if base_map is None:
-                base_map = {
-                    p.name: p for p in cand.base_subgraph.packages()
-                }
-                self._base_maps[cand.key] = base_map
-            return base_map
 
     def can_replace(self, cand: "_Candidate", other: "_Candidate") -> bool:
         """Is ``cand``'s base compatible with all of ``other``'s members?

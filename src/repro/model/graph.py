@@ -260,10 +260,6 @@ class SemanticGraph:
         """Attributes of the base-image vertex, if present."""
         return self._base_attrs
 
-    @property
-    def base_node(self) -> str | None:
-        return self._base_node
-
     def __len__(self) -> int:
         return len(self._succ)
 

@@ -527,9 +527,6 @@ class Repository:
     # base images
     # ------------------------------------------------------------------
 
-    def has_base_image(self, base: BaseImage) -> bool:
-        return self.blobs.contains(base.blob_key())
-
     @_exclusive
     def store_base_image(self, base: BaseImage) -> bool:
         """Store a base image qcow2; False when already present."""

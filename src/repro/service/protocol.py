@@ -49,7 +49,6 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Sequence
 
 from repro.errors import (
     AdmissionRejectedError,
@@ -373,14 +372,13 @@ def gc_reply(report) -> dict:
     }
 
 
-def fsck_reply(report, extra_findings: Sequence[str] = ()) -> dict:
-    """A :class:`~repro.repository.fsck.FsckReport`'s result, plus any
-    findings the caller checks beyond the repository."""
+def fsck_reply(report) -> dict:
+    """A :class:`~repro.repository.fsck.FsckReport`'s result."""
     return {
-        "clean": report.clean and not extra_findings,
+        "clean": report.clean,
         "checked_blobs": report.checked_blobs,
         "checked_vmis": report.checked_vmis,
-        "findings": [str(f) for f in report.findings] + list(extra_findings),
+        "findings": [str(f) for f in report.findings],
     }
 
 

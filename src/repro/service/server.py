@@ -159,12 +159,11 @@ class ImageServer:
         self._stopped = threading.Event()
         self._stop_once = threading.Lock()
         self._last_activity = time.monotonic()
-        self._inflight = 0
         #: requests between arrival and *response sent* — the window
-        #: the drain must wait out (``_inflight`` alone ends when the
+        #: the drain must wait out (admission alone ends when the
         #: handler returns, before the reply hits the socket)
         self._responding = 0
-        self._inflight_lock = threading.Lock()
+        self._responding_lock = threading.Lock()
         #: idle checkpoints written by the background policy
         self.idle_checkpoints = 0
         #: requests served (ok or error response sent)
@@ -190,12 +189,17 @@ class ImageServer:
             return
         if not isinstance(data, dict):
             return
+        repo = self.system.repo
         for stored, tenant in data.items():
             try:
-                self.tenants.record_owned(str(tenant), str(stored))
-            except UnknownTenantError:
-                # strict registry, tenant no longer provisioned — the
-                # image stays stored but is not served to anyone
+                # usage is re-derived from the records themselves; a
+                # name whose record is gone is not owned, and the next
+                # save drops it from the journal
+                size = repo.get_vmi_record(str(stored)).mounted_size
+                self.tenants.record_owned(str(tenant), str(stored), size)
+            except (NotInRepositoryError, UnknownTenantError):
+                # or: strict registry, tenant no longer provisioned —
+                # the image stays stored but is not served to anyone
                 continue
 
     def _save_owners(self) -> None:
@@ -316,12 +320,6 @@ class ImageServer:
                 self.system.close()
             self._stopped.set()
 
-    def serve_forever(self) -> None:
-        """Start, then block until a shutdown request drains us."""
-        self.start()
-        self.wait()
-        self.stop()
-
     def __enter__(self) -> "ImageServer":
         self.start()
         return self
@@ -363,13 +361,13 @@ class ImageServer:
                     return
                 if message is None:
                     return
-                with self._inflight_lock:
+                with self._responding_lock:
                     self._responding += 1
                 try:
                     response = self._handle_admitted(message)
                     delivered = self._respond(conn, response)
                 finally:
-                    with self._inflight_lock:
+                    with self._responding_lock:
                         self._responding -= 1
                 if not delivered:
                     return
@@ -418,7 +416,7 @@ class ImageServer:
         idle_s = self.config.checkpoint_idle_s
         tick = min(max(idle_s / 4.0, 0.02), 0.5)
         while not self._draining.wait(tick):
-            if self._inflight:
+            if self.admission.active:
                 continue
             if time.monotonic() - self._last_activity < idle_s:
                 continue
@@ -430,7 +428,7 @@ class ImageServer:
                 continue
             with self.system.repo.lock.write():
                 # re-check under the lock: a request may have landed
-                if self._inflight:
+                if self.admission.active:
                     continue
                 self.system.save()
             self.idle_checkpoints += 1
@@ -441,8 +439,6 @@ class ImageServer:
 
     def handle_message(self, message: dict) -> dict:
         """Validate, authorize and dispatch one request."""
-        with self._inflight_lock:
-            self._inflight += 1
         try:
             return self._handle_inner(message)
         except ReproError as exc:
@@ -450,8 +446,6 @@ class ImageServer:
         except Exception as exc:  # the wire boundary catches everything
             return error_payload(exc)
         finally:
-            with self._inflight_lock:
-                self._inflight -= 1
             self._last_activity = time.monotonic()
 
     def _handle_inner(self, message: dict) -> dict:
@@ -547,16 +541,12 @@ class ImageServer:
         name = row["name"] = vmi.name
         vmi.name = namespaced(tenant, name)
         charge = vmi.mounted_size
-        # reserve quota before touching the repository, so a tenant at
-        # its ceiling never costs the store any work
-        self.tenants.charge_publish(tenant, charge)
-        try:
-            with self.system.repo.lock.write():
-                report = self.system.publish(vmi)
-        except BaseException:
-            self.tenants.refund_publish(tenant, charge)
-            raise
-        self.tenants.record_owned(tenant, vmi.name)
+        with self.system.repo.lock.write():
+            # check quota before the store does any work, and charge it
+            # in the same hold: a failed publish records nothing
+            self.tenants.check_quota(tenant, charge)
+            report = self.system.publish(vmi)
+            self.tenants.record_owned(tenant, vmi.name, charge)
         self._save_owners()
         return {
             **publish_reply(report, charge),
@@ -641,8 +631,7 @@ class ImageServer:
             record = self.system.repo.get_vmi_record(stored)
             with self.system.clock.measure() as window:
                 self.system.delete(stored)
-        self.tenants.credit_delete(tenant, record.mounted_size)
-        self.tenants.forget_owned(tenant, stored)
+            self.tenants.forget_owned(tenant, stored)
         self._save_owners()
         return {
             "name": name,
@@ -676,19 +665,7 @@ class ImageServer:
     def _op_fsck(self, tenant, args) -> dict:
         with self.system.repo.lock.read():
             report = self.system.fsck()
-        # the refund clamp records every mismatched credit; surface it
-        # alongside the repository checks instead of silently zeroing
-        drift_bytes, drift_events = self.tenants.total_drift()
-        return fsck_reply(
-            report,
-            [
-                "[quota-drift] tenant-registry: "
-                f"{drift_events} refund event(s) clamped, "
-                f"{drift_bytes} byte(s) unaccounted"
-            ]
-            if drift_events
-            else [],
-        )
+        return fsck_reply(report)
 
     def _op_stats(self, tenant, args) -> dict:
         with self.system.repo.lock.read():
@@ -711,8 +688,6 @@ class ImageServer:
                     "requests": u.requests,
                     "quota_rejections": u.quota_rejections,
                     "busy_rejections": u.busy_rejections,
-                    "drift_bytes": u.drift_bytes,
-                    "drift_events": u.drift_events,
                     "max_bytes": u.quota.max_bytes,
                     "max_inflight": u.quota.max_inflight,
                 }
@@ -757,6 +732,6 @@ class ImageServer:
             else "unbound"
         )
         return (
-            f"<ImageServer {where} inflight={self._inflight} "
+            f"<ImageServer {where} active={self.admission.active} "
             f"served={self.requests_served}>"
         )

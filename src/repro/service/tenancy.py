@@ -19,8 +19,17 @@ credits the recorded mounted size back.  Charging physical
 tenant's uploads — logical bytes are stable, predictable, and exactly
 the Table II column operators reason in.
 
+Usage is *derived from ownership*: each tenant's owned map holds
+``stored name → charged mounted bytes``, so its stored bytes are the
+sum of the map and its image count the map's size, and the two cannot
+disagree.  A publish checks the quota
+(:meth:`TenantRegistry.check_quota`) and records the name once the
+store holds it (:meth:`TenantRegistry.record_owned`); a failed publish
+records nothing.  A daemon restart re-derives usage by recording each
+persisted owned name at its record's mounted size.
+
 :class:`TenantRegistry` is the single synchronized home of per-tenant
-state: quota configuration, stored-bytes accounting, the per-tenant
+state: quota configuration, ownership (and so usage), the per-tenant
 in-flight ceiling (one slow tenant cannot occupy every worker) and
 rejection counters.  The registry is *open* by default — first use
 registers a tenant with the default quota — or *closed*
@@ -177,11 +186,6 @@ class TenantUsage:
     quota_rejections: int
     busy_rejections: int
     quota: TenantQuota
-    #: bytes a refund/credit tried to release beyond what the tenant
-    #: held — every non-zero value is an accounting bug made visible
-    drift_bytes: int = 0
-    #: how many refunds hit the zero floor instead of balancing
-    drift_events: int = 0
 
 
 class _TenantState:
@@ -189,30 +193,28 @@ class _TenantState:
 
     __slots__ = (
         "quota",
-        "bytes_stored",
-        "published",
         "inflight",
         "requests",
         "quota_rejections",
         "busy_rejections",
-        "drift_bytes",
-        "drift_events",
         "owned",
     )
 
     def __init__(self, quota: TenantQuota) -> None:
         self.quota = quota
-        self.bytes_stored = 0
-        self.published = 0
         self.inflight = 0
         self.requests = 0
         self.quota_rejections = 0
         self.busy_rejections = 0
-        self.drift_bytes = 0
-        self.drift_events = 0
-        #: stored names this tenant published through the service —
-        #: the authorization set for retrieve/delete/listing
-        self.owned: set[str] = set()
+        #: stored name -> mounted bytes charged for it, for every image
+        #: this tenant published through the service — the
+        #: authorization set for retrieve/delete/listing and the only
+        #: record of usage
+        self.owned: dict[str, int] = {}
+
+    @property
+    def bytes_stored(self) -> int:
+        return sum(self.owned.values())
 
 
 class TenantRegistry:
@@ -306,67 +308,50 @@ class TenantRegistry:
     # stored-bytes quota
     # ------------------------------------------------------------------
 
-    def charge_publish(self, tenant: str, n_bytes: int) -> None:
-        """Reserve ``n_bytes`` of the tenant's logical quota.
+    def check_quota(self, tenant: str, n_bytes: int) -> None:
+        """Refuse a publish of ``n_bytes`` that would pass the tenant's
+        ``max_bytes``.  Nothing is reserved: the publish is charged by
+        :meth:`record_owned` once it lands, so the caller holds one
+        repository write lock across the check, the publish and the
+        record.
 
         Raises:
-            QuotaExceededError: the charge would pass ``max_bytes``.
+            QuotaExceededError: the publish would pass ``max_bytes``.
         """
         with self._lock:
             state = self._state(tenant)
             limit = state.quota.max_bytes
-            if (
-                limit is not None
-                and state.bytes_stored + n_bytes > limit
-            ):
+            if limit is None:
+                return
+            used = state.bytes_stored
+            if used + n_bytes > limit:
                 state.quota_rejections += 1
                 raise QuotaExceededError(
                     tenant,
                     requested_bytes=n_bytes,
-                    used_bytes=state.bytes_stored,
+                    used_bytes=used,
                     limit_bytes=limit,
                 )
-            state.bytes_stored += n_bytes
-            state.published += 1
-
-    def refund_publish(self, tenant: str, n_bytes: int) -> None:
-        """Undo a charge whose publish failed after reservation.
-
-        The balance still floors at zero (a broken credit must not
-        turn into negative billing), but any shortfall is *counted*:
-        ``drift_bytes``/``drift_events`` in the tenant's usage expose
-        double refunds and mismatched credits instead of silently
-        zeroing them, and federation-level fsck flags the drift.
-        """
-        with self._lock:
-            state = self._state(tenant)
-            over = n_bytes - state.bytes_stored
-            drifted = over > 0 or state.published == 0
-            if drifted:
-                state.drift_events += 1
-                state.drift_bytes += max(over, 0)
-            state.bytes_stored = max(0, state.bytes_stored - n_bytes)
-            state.published = max(0, state.published - 1)
-
-    def credit_delete(self, tenant: str, n_bytes: int) -> None:
-        """Release quota held by a now-deleted image."""
-        self.refund_publish(tenant, n_bytes)
 
     # ------------------------------------------------------------------
-    # published-name ownership
+    # published-name ownership (and so usage)
     # ------------------------------------------------------------------
 
-    def record_owned(self, tenant: str, stored_name: str) -> None:
-        """Remember that ``tenant`` published ``stored_name``."""
+    def record_owned(
+        self, tenant: str, stored_name: str, n_bytes: int
+    ) -> None:
+        """Remember that ``tenant`` published ``stored_name``, charged
+        ``n_bytes`` of its quota."""
         with self._lock:
-            self._state(tenant).owned.add(stored_name)
+            self._state(tenant).owned[stored_name] = n_bytes
 
     def forget_owned(self, tenant: str, stored_name: str) -> None:
-        """Drop a deleted image from the tenant's ownership set."""
+        """Drop a deleted image from the tenant's ownership, crediting
+        its charge back."""
         with self._lock:
             state = self._tenants.get(tenant)
             if state is not None:
-                state.owned.discard(stored_name)
+                state.owned.pop(stored_name, None)
 
     def owns(self, tenant: str, stored_name: str) -> bool:
         """Did ``tenant`` publish ``stored_name`` through the service?
@@ -425,14 +410,12 @@ class TenantRegistry:
         return TenantUsage(
             tenant=tenant,
             bytes_stored=state.bytes_stored,
-            published=state.published,
+            published=len(state.owned),
             inflight=state.inflight,
             requests=state.requests,
             quota_rejections=state.quota_rejections,
             busy_rejections=state.busy_rejections,
             quota=state.quota,
-            drift_bytes=state.drift_bytes,
-            drift_events=state.drift_events,
         )
 
     def usages(self) -> dict[str, TenantUsage]:
@@ -442,10 +425,3 @@ class TenantRegistry:
                 for name in sorted(self._tenants)
             }
 
-    def total_drift(self) -> tuple[int, int]:
-        """Registry-wide ``(drift_bytes, drift_events)`` totals."""
-        with self._lock:
-            return (
-                sum(s.drift_bytes for s in self._tenants.values()),
-                sum(s.drift_events for s in self._tenants.values()),
-            )

@@ -68,10 +68,6 @@ class Corpus:
             )
         )
 
-    def build_table_ii(self) -> list[VirtualMachineImage]:
-        """All 19 images, in upload order."""
-        return [self.build(name) for name in TABLE_II_ORDER]
-
     def build_four(self) -> list[VirtualMachineImage]:
         """Mini, Base, Desktop, IDE (Figures 3a and 4a)."""
         return [self.build(name) for name in FOUR_VMI_NAMES]

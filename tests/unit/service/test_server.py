@@ -7,12 +7,14 @@ every rejection shape are testable exhaustively.  The socket layer
 gets its coverage from the property, lifecycle and CLI suites.
 """
 
+import json
 import socket
 import time
 
 import pytest
 
 from repro.core.system import Expelliarmus
+from repro.repository.federation import FederatedRepository
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     make_request,
@@ -515,24 +517,116 @@ class TestOwnershipPersistence:
             reborn.stop()
 
 
+def _open_root(kind, root, **config):
+    """A server over the durable root at ``root``: a workspace, or a
+    two-shard federation."""
+    config.setdefault("checkpoint_idle_s", None)
+    if kind == "workspace":
+        return ImageServer.for_workspace(root, ServerConfig(**config))
+    return ImageServer(
+        FederatedRepository.open(root, shards=2), ServerConfig(**config)
+    )
+
+
+@pytest.mark.parametrize("kind", ["workspace", "federation"])
+class TestUsageSurvivesRestart:
+    """Regression: tenant usage used to live only in counters, so a
+    reopened daemon billed every tenant 0 bytes, let a tenant at its
+    quota publish past it, and flagged a correct delete as drift.
+    Usage is now derived from the owned names' records."""
+
+    def _publish_three(self, kind, root):
+        server = _open_root(kind, root)
+        for item in range(3):
+            _result(
+                _call(server, "publish", tenant="t", source=SOURCE, item=item)
+            )
+        before = server.tenants.usage("t")
+        server.stop()
+        return before
+
+    def test_usage_is_rederived_on_reopen(self, kind, tmp_path):
+        before = self._publish_three(kind, tmp_path / "root")
+        server = _open_root(kind, tmp_path / "root")
+        try:
+            after = server.tenants.usage("t")
+            assert after.bytes_stored == before.bytes_stored > 0
+            assert after.published == before.published == 3
+        finally:
+            server.stop()
+
+    def test_quota_is_enforced_after_reopen(self, kind, tmp_path):
+        before = self._publish_three(kind, tmp_path / "root")
+        server = _open_root(
+            kind,
+            tmp_path / "root",
+            default_quota=TenantQuota(max_bytes=before.bytes_stored + 1),
+        )
+        try:
+            error = _error(
+                _call(server, "publish", tenant="t", source=SOURCE, item=3)
+            )
+            assert error["code"] == "quota-exceeded"
+            assert error["used_bytes"] == before.bytes_stored
+            assert server.tenants.usage("t").published == 3
+        finally:
+            server.stop()
+
+    def test_delete_after_reopen_keeps_fsck_clean(self, kind, tmp_path):
+        before = self._publish_three(kind, tmp_path / "root")
+        server = _open_root(kind, tmp_path / "root")
+        try:
+            size = server.system.repo.get_vmi_record(
+                "t/vmi-00001"
+            ).mounted_size
+            result = _result(
+                _call(server, "delete", tenant="t", name="vmi-00001")
+            )
+            assert result["credited_bytes"] == size
+            fsck = _result(_call(server, "fsck", tenant=None))
+            assert fsck["clean"] is True, fsck["findings"]
+            usage = server.tenants.usage("t")
+            assert usage.bytes_stored == before.bytes_stored - size
+            assert usage.published == 2
+        finally:
+            server.stop()
+
+    def test_owner_of_a_vanished_record_is_dropped(self, kind, tmp_path):
+        root = tmp_path / "root"
+        before = self._publish_three(kind, root)
+        # delete one image outside the daemon: its owners.json entry
+        # now names a record that is gone
+        system = (
+            Expelliarmus.open(root)
+            if kind == "workspace"
+            else FederatedRepository.open(root, shards=2)
+        )
+        size = system.repo.get_vmi_record("t/vmi-00002").mounted_size
+        system.delete("t/vmi-00002")
+        system.save()
+        system.close()
+        assert "t/vmi-00002" in json.loads(
+            (root / "owners.json").read_text()
+        )
+
+        server = _open_root(kind, root)
+        try:
+            assert not server.tenants.owns("t", "t/vmi-00002")
+            usage = server.tenants.usage("t")
+            assert usage.bytes_stored == before.bytes_stored - size
+            assert usage.published == 2
+            # the next save drops the stale entry
+            _result(
+                _call(server, "delete", tenant="t", name="vmi-00000")
+            )
+            assert json.loads((root / "owners.json").read_text()) == {
+                "t/vmi-00001": "t"
+            }
+        finally:
+            server.stop()
+
+
 class TestDriftSurfacing:
-    def test_fsck_flags_quota_drift(self):
-        server = _server()
-        server.tenants.charge_publish("acme", 10)
-        server.tenants.refund_publish("acme", 25)
-        fsck = _result(_call(server, "fsck", tenant=None))
-        assert fsck["clean"] is False
-        assert any("quota-drift" in f for f in fsck["findings"])
-
-    def test_stats_expose_drift_counters(self):
-        server = _server()
-        server.tenants.charge_publish("acme", 10)
-        server.tenants.refund_publish("acme", 25)
-        stats = _result(_call(server, "stats", tenant=None))
-        tenant = stats["tenants"]["acme"]
-        assert tenant["drift_bytes"] == 15
-        assert tenant["drift_events"] == 1
-
     def test_clean_accounting_keeps_fsck_clean(self):
         server = _server()
         _result(_call(server, "publish", source=SOURCE, item=0))

@@ -105,11 +105,12 @@ class TestByteAccounting:
         registry = TenantRegistry(
             default_quota=TenantQuota(max_bytes=1000)
         )
-        registry.charge_publish("acme", 600)
+        registry.check_quota("acme", 600)
+        registry.record_owned("acme", "acme/web", 600)
         usage = registry.usage("acme")
         assert usage.bytes_stored == 600
         assert usage.published == 1
-        registry.credit_delete("acme", 600)
+        registry.forget_owned("acme", "acme/web")
         usage = registry.usage("acme")
         assert usage.bytes_stored == 0
         assert usage.published == 0
@@ -118,15 +119,15 @@ class TestByteAccounting:
         registry = TenantRegistry(
             default_quota=TenantQuota(max_bytes=1000)
         )
-        registry.charge_publish("acme", 800)
+        registry.record_owned("acme", "acme/web", 800)
         with pytest.raises(QuotaExceededError) as excinfo:
-            registry.charge_publish("acme", 300)
+            registry.check_quota("acme", 300)
         exc = excinfo.value
         assert exc.tenant == "acme"
         assert exc.requested_bytes == 300
         assert exc.used_bytes == 800
         assert exc.limit_bytes == 1000
-        # the failed charge reserved nothing, and was counted
+        # the failed check charged nothing, and was counted
         usage = registry.usage("acme")
         assert usage.bytes_stored == 800
         assert usage.quota_rejections == 1
@@ -135,58 +136,25 @@ class TestByteAccounting:
         registry = TenantRegistry(
             default_quota=TenantQuota(max_bytes=1000)
         )
-        registry.charge_publish("acme", 1000)
+        registry.check_quota("acme", 1000)
+        registry.record_owned("acme", "acme/web", 1000)
         assert registry.usage("acme").bytes_stored == 1000
 
-    def test_refund_undoes_a_failed_publish(self):
+    def test_check_alone_charges_nothing(self):
         registry = TenantRegistry()
-        registry.charge_publish("acme", 500)
-        registry.refund_publish("acme", 500)
+        registry.check_quota("acme", 500)
         usage = registry.usage("acme")
         assert usage.bytes_stored == 0
         assert usage.published == 0
-
-    def test_refund_never_goes_negative(self):
-        registry = TenantRegistry()
-        registry.refund_publish("acme", 999)
-        assert registry.usage("acme").bytes_stored == 0
-
-    def test_over_refund_counts_drift(self):
-        """Regression: the zero floor used to *silently* swallow
-        mismatched credits — now every clamped byte is counted."""
-        registry = TenantRegistry()
-        registry.charge_publish("acme", 100)
-        registry.refund_publish("acme", 250)
-        usage = registry.usage("acme")
-        assert usage.bytes_stored == 0
-        assert usage.drift_bytes == 150
-        assert usage.drift_events == 1
-
-    def test_balanced_refund_has_no_drift(self):
-        registry = TenantRegistry()
-        registry.charge_publish("acme", 100)
-        registry.refund_publish("acme", 100)
-        usage = registry.usage("acme")
-        assert usage.drift_bytes == 0
-        assert usage.drift_events == 0
-
-    def test_total_drift_sums_across_tenants(self):
-        registry = TenantRegistry()
-        registry.charge_publish("a", 10)
-        registry.refund_publish("a", 30)  # 20 bytes over
-        registry.refund_publish("b", 5)  # refund with nothing charged
-        drift_bytes, drift_events = registry.total_drift()
-        assert drift_bytes == 25
-        assert drift_events == 2
 
     def test_quotas_are_per_tenant(self):
         registry = TenantRegistry(
             default_quota=TenantQuota(max_bytes=100)
         )
-        registry.charge_publish("a", 100)
-        registry.charge_publish("b", 100)  # b's quota is its own
+        registry.record_owned("a", "a/web", 100)
+        registry.check_quota("b", 100)  # b's quota is its own
         with pytest.raises(QuotaExceededError):
-            registry.charge_publish("a", 1)
+            registry.check_quota("a", 1)
 
 
 class TestInflightSlots:
@@ -226,16 +194,16 @@ class TestRegistryModes:
     def test_open_registry_auto_registers(self):
         registry = TenantRegistry()
         assert registry.known_tenants() == []
-        registry.charge_publish("new-tenant", 1)
+        registry.check_quota("new-tenant", 1)
         assert registry.known_tenants() == ["new-tenant"]
 
     def test_strict_registry_refuses_unknown(self):
         registry = TenantRegistry(
             tenants={"acme": TenantQuota()}, strict=True
         )
-        registry.charge_publish("acme", 1)
+        registry.check_quota("acme", 1)
         with pytest.raises(UnknownTenantError):
-            registry.charge_publish("ghost", 1)
+            registry.check_quota("ghost", 1)
 
     def test_strict_without_tenants_is_an_error(self):
         with pytest.raises(ValueError, match="strict"):
@@ -246,9 +214,9 @@ class TestRegistryModes:
             default_quota=TenantQuota(max_bytes=10),
             tenants={"big": TenantQuota(max_bytes=1000)},
         )
-        registry.charge_publish("big", 500)
+        registry.check_quota("big", 500)
         with pytest.raises(QuotaExceededError):
-            registry.charge_publish("other", 500)
+            registry.check_quota("other", 500)
 
     def test_invalid_preregistered_name_rejected(self):
         with pytest.raises(ProtocolError):
@@ -257,12 +225,12 @@ class TestRegistryModes:
     def test_invalid_name_rejected_on_use(self):
         registry = TenantRegistry()
         with pytest.raises(ProtocolError):
-            registry.charge_publish("no/slashes", 1)
+            registry.check_quota("no/slashes", 1)
 
     def test_usages_snapshots_every_tenant(self):
         registry = TenantRegistry()
-        registry.charge_publish("a", 10)
-        registry.charge_publish("b", 20)
+        registry.record_owned("a", "a/web", 10)
+        registry.record_owned("b", "b/web", 20)
         usages = registry.usages()
         assert set(usages) == {"a", "b"}
         assert usages["b"].bytes_stored == 20
@@ -274,7 +242,7 @@ class TestReadOnlyReporting:
         auto-register it; a typo'd stats query polluted the registry
         permanently."""
         registry = TenantRegistry()
-        registry.charge_publish("real", 1)
+        registry.check_quota("real", 1)
         with pytest.raises(UnknownTenantError):
             registry.usage("typo-tenant")
         assert registry.known_tenants() == ["real"]
@@ -282,7 +250,7 @@ class TestReadOnlyReporting:
 
     def test_usage_still_validates_known_tenants(self):
         registry = TenantRegistry()
-        registry.charge_publish("acme", 42)
+        registry.record_owned("acme", "acme/web", 42)
         assert registry.usage("acme").bytes_stored == 42
 
 
@@ -290,7 +258,7 @@ class TestOwnership:
     def test_owns_only_after_record(self):
         registry = TenantRegistry()
         assert not registry.owns("acme", "acme/web")
-        registry.record_owned("acme", "acme/web")
+        registry.record_owned("acme", "acme/web", 1)
         assert registry.owns("acme", "acme/web")
         assert registry.owned_names("acme") == ["acme/web"]
 
@@ -299,7 +267,7 @@ class TestOwnership:
         # published (e.g. a locally-published literal "acme/web") is
         # NOT owned
         registry = TenantRegistry()
-        registry.charge_publish("acme", 1)
+        registry.check_quota("acme", 1)
         assert not registry.owns("acme", "acme/web")
 
     def test_owns_is_read_only_for_unknown_tenants(self):
@@ -310,16 +278,16 @@ class TestOwnership:
 
     def test_forget_owned_drops_the_name(self):
         registry = TenantRegistry()
-        registry.record_owned("acme", "acme/web")
+        registry.record_owned("acme", "acme/web", 1)
         registry.forget_owned("acme", "acme/web")
         assert not registry.owns("acme", "acme/web")
         registry.forget_owned("acme", "never-owned")  # no-op
 
     def test_owners_dumps_every_owned_name(self):
         registry = TenantRegistry()
-        registry.record_owned("acme", "acme/web")
-        registry.record_owned("acme", "acme/db")
-        registry.record_owned("beta", "beta/web")
+        registry.record_owned("acme", "acme/web", 1)
+        registry.record_owned("acme", "acme/db", 2)
+        registry.record_owned("beta", "beta/web", 3)
         assert registry.owners() == {
             "acme/web": "acme",
             "acme/db": "acme",
