@@ -5,7 +5,8 @@ measures what a *new process* pays to get the repository back, three
 ways:
 
 * **snapshot reopen** — checkpoint right before exit; reopen is a pure
-  format-v2 snapshot load.  O(repository).
+  snapshot load (format v3: the metadata, plus one read of the content
+  file).  O(repository).
 * **op-log reopen** — a burst of post-checkpoint churn (a fixed-size
   delete round, so the op count is independent of corpus size) ends
   without a checkpoint, as a crash would; reopen is snapshot load +

@@ -86,7 +86,9 @@ identity:
 * *a template per plan entry and user-data label*: the image the
   entry's first execution built, the stored packages it installed and
   the charges that followed its base copy (handle, reset, data import,
-  each step's import).  A later execution does a build's lookups in a
+  each step's import), kept as a tuple of seconds beside a label
+  tuple shared by every template with the same label sequence.  A
+  later execution does a build's lookups in a
   build's order (base, user data, each step's package); when each
   returns the template's part, it charges the base copy as always,
   then the recorded sequence in one
@@ -297,11 +299,14 @@ class _BaseRecord:
 @dataclass(frozen=True, slots=True)
 class _Template:
     """An image a plan assembled, the stored packages it installed (in
-    step order) and the charges that followed its base copy."""
+    step order) and the charges that followed its base copy: their
+    seconds, and their labels as one tuple shared by every template of
+    the same shape."""
 
     vmi: VirtualMachineImage
     packages: tuple[Package, ...]
-    charges: tuple[tuple[float, str], ...]
+    seconds: tuple[float, ...]
+    labels: tuple[str, ...]
 
 
 @dataclass
@@ -356,6 +361,9 @@ class AssemblyPlanner:
         #: is gone, checked once per repository mutation
         self._base_records: dict[int, _BaseRecord] = {}
         self._swept_at: int | None = None
+        #: a template's charge labels, one tuple per distinct sequence
+        #: (a handful: with or without data, by install count)
+        self._label_shapes: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # plan cache
@@ -601,7 +609,7 @@ class AssemblyPlanner:
             template = entry.assembled.get(request.data_label)
         if template is not None and self._holds(request, entry, template):
             warm = self._charge_base_copy(entry.plan, cold_base)
-            self.clock.advance_all(template.charges)
+            self.clock.advance_all(template.seconds, template.labels)
             return template.vmi.clone(request.name), warm
         return self._build(request, entry, cold_base)
 
@@ -636,11 +644,13 @@ class AssemblyPlanner:
         plan = entry.plan
         base = self._base_record(plan.base_key)
         warm = self._charge_base_copy(plan, cold_base)
-        charges: list[tuple[float, str]] = []
+        charged: list[float] = []
+        labels: list[str] = []
 
         def charge(seconds: float, label: str) -> None:
             self.clock.advance(seconds, label)
-            charges.append((seconds, label))
+            charged.append(seconds)
+            labels.append(label)
 
         charge(self.cost.guestfs_launch(), "handle")
         charge(self.cost.vmi_reset(), "reset")
@@ -657,10 +667,17 @@ class AssemblyPlanner:
             )
             charge(self.cost.import_package(stored), "import")
             packages.append(stored)
+        shape = tuple(labels)
+        held = self._label_shapes.get(shape)
+        if held is None:
+            with self._mutex:
+                held = self._label_shapes.setdefault(shape, shape)
         self._remember(
             request,
             entry,
-            _Template(vmi.clone(vmi.name), tuple(packages), tuple(charges)),
+            _Template(
+                vmi.clone(vmi.name), tuple(packages), tuple(charged), held
+            ),
         )
         return vmi, warm
 

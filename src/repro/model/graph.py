@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
 from repro.model.package import Package
 
 __all__ = [
+    "GraphRefs",
     "NodeKind",
     "PackageRole",
     "SemanticGraph",
@@ -84,6 +85,23 @@ _ROLE_RANK = {
     PackageRole.BASE_MEMBER: 1,
     PackageRole.PRIMARY: 2,
 }
+
+
+class GraphRefs(NamedTuple):
+    """A :class:`SemanticGraph` by reference (:meth:`~SemanticGraph.to_refs`).
+
+    Per vertex, in insertion order: its key, its role (None for the
+    base-image vertex) and its ref (a blob key, a payload by
+    value, or the base image's attributes).  ``edges`` holds each edge
+    as two vertex indexes, flat, in insertion order.  Its class name is
+    part of the snapshot and op-log format: a build without it refuses
+    such a record as unloadable.
+    """
+
+    keys: tuple[str, ...]
+    roles: tuple[PackageRole | None, ...]
+    refs: tuple[Any, ...]
+    edges: tuple[int, ...]
 
 
 def first_newest(
@@ -324,35 +342,57 @@ class SemanticGraph:
         nodes = self._nodes
         return [nodes[key][0] for key in keys]
 
-    def share_payloads(self, resolve: Callable[[Package], Package]) -> None:
-        """Replace every payload ``p`` by ``resolve(p)``, an object of
-        the same content (same vertex key), in place.
+    def to_refs(self, ref: Callable[[Package], object]) -> "GraphRefs":
+        """This graph with each payload ``p`` written as ``ref(p)``.
 
-        Lets a freshly unpickled graph point at objects its holder
-        already keeps, so later pickles share them.  Only for graphs no
-        one has read yet: a payload is otherwise never replaced.
+        ``ref`` returns a blob key for a payload its reader can resolve
+        and the payload itself otherwise.  The base-image vertex, when
+        present, is written as its attributes.
         """
-        nodes = self._nodes
-        for key, (pkg, role) in nodes.items():
-            nodes[key] = (resolve(pkg), role)
+        nodes, succ = self._nodes, self._succ
+        keys = tuple(succ)
+        roles: list[PackageRole | None] = []
+        refs: list[object] = []
+        for key in keys:
+            vertex = nodes.get(key)
+            if vertex is None:
+                roles.append(None)
+                refs.append(self._base_attrs)
+            else:
+                roles.append(vertex[1])
+                refs.append(ref(vertex[0]))
+        index = {key: i for i, key in enumerate(keys)}
+        edges: list[int] = []
+        for src, out in succ.items():
+            i = index[src]
+            for dst in out:
+                edges += (i, index[dst])
+        return GraphRefs(keys, tuple(roles), tuple(refs), tuple(edges))
 
-    def share_keys(self, keys: dict[str, str]) -> None:
-        """Replace every vertex key by the equal string in ``keys``, in
-        place; keys it lacks join it as they are.
-
-        With ``keys`` a graph's own (``{k: k}``), a freshly unpickled
-        graph about to be unioned into it adds the graph's key objects,
-        not equal copies, so later pickles write each key once.  Same
-        vertices, same order.
-        """
-        canon = {key: keys.setdefault(key, key) for key in self._succ}
-        self._nodes = {canon[k]: vertex for k, vertex in self._nodes.items()}
-        self._succ = {
-            canon[u]: {canon[v]: None for v in out}
-            for u, out in self._succ.items()
-        }
-        if self._base_node is not None:
-            self._base_node = canon[self._base_node]
+    @classmethod
+    def from_refs(
+        cls, refs: "GraphRefs", resolve: Callable[[int], Package]
+    ) -> "SemanticGraph":
+        """The graph :meth:`to_refs` wrote: the same vertices, edges
+        and orders, each blob key read back through ``resolve``.  A
+        payload's own cached vertex key, when it has one, is the key
+        object used (else the written one becomes its cache), so graphs
+        over the same payload share one key string."""
+        graph = cls()
+        nodes = graph._nodes
+        keys = list(refs.keys)
+        for i, (role, ref) in enumerate(zip(refs.roles, refs.refs)):
+            if role is None:
+                graph._base_node, graph._base_attrs = keys[i], ref
+                continue
+            pkg = resolve(ref) if type(ref) is int else ref
+            key = keys[i] = pkg.__dict__.setdefault("_node_key", keys[i])
+            nodes[key] = (pkg, role)
+        succ = graph._succ = {key: {} for key in keys}
+        ends = iter(refs.edges)
+        for src, dst in zip(ends, ends):
+            succ[keys[src]][keys[dst]] = None
+        return graph
 
     def total_package_size(self) -> int:
         """Sum of installed sizes over all package vertices."""

@@ -207,28 +207,6 @@ def _unpickle_package(*values: object) -> Package:
     return pkg
 
 
-def share_strings(pkg: Package, strings: dict[str, str]) -> None:
-    """Point a freshly unpickled package's strings at the equal ones in
-    ``strings``, in place; strings it lacks join it.
-
-    Its name, arch, section, version strings and dependency names then
-    are the objects the rest of the holder's packages use, as in a
-    live session, and later pickles write each once.  Only for a
-    package no one has read yet: its fields are otherwise immutable.
-    """
-    def share(text: str) -> str:
-        return strings.setdefault(text, text)
-
-    fields = pkg.__dict__
-    for name in ("name", "arch", "section"):
-        fields[name] = share(fields[name])
-    pkg.version.share_strings(share)
-    for dep in pkg.depends:
-        object.__setattr__(dep, "name", share(dep.name))
-        if dep.version is not None:
-            dep.version.share_strings(share)
-
-
 def make_package(
     name: str,
     version: str,

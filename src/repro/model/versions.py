@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["Version", "version_component_similarity"]
 
@@ -181,13 +181,6 @@ class Version:
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._derive()
-
-    def share_strings(self, share: Callable[[str], str]) -> None:
-        """Replace the string fields by ``share(text)``, an equal
-        string (replay sharing, see ``model.package.share_strings``)."""
-        fields = self.__dict__
-        for name in ("upstream", "revision", "raw"):
-            fields[name] = share(fields[name])
 
     def compare(self, other: "Version") -> int:
         """Three-way Debian comparison: -1, 0 or +1."""

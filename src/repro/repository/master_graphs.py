@@ -17,22 +17,31 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
-from repro.model.graph import PackageRole, SemanticGraph, first_newest
+from repro.model.graph import (
+    GraphRefs,
+    PackageRole,
+    SemanticGraph,
+    first_newest,
+)
 from repro.model.package import Package
 from repro.model.vmi import BaseImage
 from repro.similarity.compatibility import is_compatible
 
 __all__ = [
     "MasterGraph",
+    "MasterRefs",
     "base_subgraph_of",
     "ensure_revision_floor",
     "issue_revision",
     "master_content",
-    "master_state",
+    "master_from_refs",
     "master_from_state",
+    "master_refs",
+    "master_state",
 ]
 
 
@@ -76,13 +85,13 @@ def issue_revision() -> int:
 
 
 def master_state(master: "MasterGraph") -> dict:
-    """A master's reload-relevant content as plain data.
+    """A master's reload-relevant content as plain data, by value.
 
-    Everything a snapshot or op-log entry must carry that cannot be
-    re-derived from the stored base alone: the merged package graph,
-    the member list, and the membership revision.  The values are the
-    *live* objects — consumers that persist the state must serialise
-    eagerly (the repository journal contract).
+    Everything that cannot be re-derived from the stored base alone:
+    the merged package graph, the member list, and the membership
+    revision.  The values are the *live* objects.  Copying a master
+    into another repository (federation rebalance) uses it; durable
+    files hold :class:`MasterRefs` instead.
     """
     return {
         "base_key": master.base_key,
@@ -90,6 +99,30 @@ def master_state(master: "MasterGraph") -> dict:
         "member_vmis": list(master.member_vmis),
         "revision": master.revision,
     }
+
+
+class MasterRefs(NamedTuple):
+    """A master graph by reference, as snapshots and op-log records
+    hold it: its base's key, its package graph as
+    :class:`~repro.model.graph.GraphRefs`, its members and revision."""
+
+    base_key: int
+    graph: GraphRefs
+    members: tuple[str, ...]
+    revision: int
+
+
+def master_refs(
+    master: "MasterGraph", ref: Callable[[Package], object]
+) -> MasterRefs:
+    """``master`` with each vertex payload written as ``ref(payload)``
+    (see :meth:`SemanticGraph.to_refs`)."""
+    return MasterRefs(
+        master.base_key,
+        master.package_graph.to_refs(ref),
+        tuple(master.member_vmis),
+        master.revision,
+    )
 
 
 def master_content(master: "MasterGraph") -> tuple:
@@ -108,31 +141,47 @@ def master_content(master: "MasterGraph") -> tuple:
     )
 
 
-def master_from_state(
-    base: BaseImage,
-    state: dict,
-    stored: Callable[[int], Package | None] | None = None,
+def master_from_state(base: BaseImage, state: dict) -> "MasterGraph":
+    """Rebuild a master graph around a stored base from
+    :func:`master_state`'s plain data (the package graph object itself
+    is adopted).  State without a revision (snapshot format v1)
+    restores at revision 0.  See :func:`master_from_refs`."""
+    return _restored(
+        base,
+        state["package_graph"],
+        state["member_vmis"],
+        state.get("revision", 0),
+    )
+
+
+def master_from_refs(
+    base: BaseImage, refs: MasterRefs, resolve: Callable[[int], Package]
 ) -> "MasterGraph":
-    """Rebuild a master graph around a stored base from saved state.
+    """Rebuild a master graph around a stored base from
+    :class:`MasterRefs`, each blob key read back through ``resolve``.
 
     Restores the saved membership revision exactly — a reloaded plan
     cache revalidates against the same ``(base_key, revision)`` pair it
     was derived under — and raises the process-wide revision floor so
     post-reload mutations can never reissue a restored revision for
-    different membership.  Legacy state without a revision (snapshot
-    format v1) restores at revision 0.  With ``stored`` (blob key →
-    the package store's object, or None), an unpickled graph's
-    payloads are first pointed at objects the repository already holds
-    (:meth:`MasterGraph.share_payloads`).
+    different membership.
     """
+    return _restored(
+        base,
+        SemanticGraph.from_refs(refs.graph, resolve),
+        refs.members,
+        refs.revision,
+    )
+
+
+def _restored(
+    base: BaseImage, graph: SemanticGraph, members, revision: int
+) -> "MasterGraph":
     master = MasterGraph.for_base(base)
-    if stored is not None:
-        master.share_payloads(state["package_graph"], stored)
-    master.package_graph = state["package_graph"]
-    master.invalidate_fingerprints()
-    master.member_vmis = list(state["member_vmis"])
-    master.revision = state.get("revision", 0)
-    ensure_revision_floor(master.revision)
+    master.package_graph = graph
+    master.member_vmis = list(members)
+    master.revision = revision
+    ensure_revision_floor(revision)
     return master
 
 
@@ -351,33 +400,6 @@ class MasterGraph:
             self.primary_root(name, version)
         )
 
-    def share_payloads(
-        self,
-        graph: SemanticGraph,
-        stored: Callable[[int], Package | None],
-    ) -> None:
-        """Point an unpickled graph bound for this master at objects
-        the repository already holds.
-
-        Each payload becomes the package store's object with its blob
-        key (``stored``), else the base's own package with its vertex
-        key, else stays.  A replayed or restored master then shares its
-        vertices with the store and the base, and the next snapshot
-        pickles each package once.
-        """
-        base_map = {p.name: p for p in self.base_subgraph.packages()}
-        key_of = self.base_subgraph.package_key
-
-        def resolve(pkg: Package) -> Package:
-            hit = stored(pkg.blob_key())
-            if hit is None:
-                hit = base_map.get(pkg.name)
-                if hit is None or key_of(hit) != key_of(pkg):
-                    return pkg
-            return hit
-
-        graph.share_payloads(resolve)
-
     def full_graph(self) -> SemanticGraph:
         """Base subgraph ∪ package graph — ``GM`` as Section III-H."""
         g = self.base_subgraph.copy()
@@ -436,12 +458,6 @@ class MasterGraph:
                     full_map[pkg.name] = pkg
             self._full_map = full_map
         return self._full_map
-
-    def invalidate_fingerprints(self) -> None:
-        """Drop the lazily maintained maps (direct graph replacement)."""
-        self._population = None
-        self._full_map = None
-        self._fingerprint_nodes = -1
 
     def has_package(self, name: str) -> bool:
         return name in self.package_population()

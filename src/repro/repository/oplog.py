@@ -10,31 +10,38 @@ dirty marks) *before* applying it, and reopening a workspace is
 
 so reopen cost is O(ops since checkpoint), not O(repository).
 
-Master graphs are journaled two ways.  A publish into a stored master
+Master graphs are journaled two ways, both by reference
+(:class:`~repro.model.graph.GraphRefs`): each vertex payload is the
+blob key of a package the repository stores or the master's base owns
+at that point of the log, so replay reads it back from the repository
+it is rebuilding (:meth:`Repository.package_resolver`), and a payload
+neither holds is written by value.  A publish into a stored master
 appends ``add_master_member``: the upload's primary subgraph, its name
 and the master's resulting revision, so the record's size follows the
 upload.  Whole-master rewrites (a new master, base replacement, GC
 rebuilds, rebase, federation rebalance) append ``put_master_graph``
-with the master's full content.  Logs written before
-``add_master_member`` existed replay unchanged; a build without it
-refuses such a log as an unknown op (``WorkspaceError``) before
-changing any file, so the header version stays 1.  Likewise, records
-pickle each package as a call of ``repro.model.package._unpickle_package``,
-and each file manifest (user data, base skeletons) as a call of
-``repro.image.manifest._unpickle_manifest`` with its record count and
-one little-endian buffer of its content ids, sizes and gzip ratios, so
-no numpy global appears in a record; a build without either function
-reads such a record as unloadable and refuses the log, changing no
-file.  Older records holding packages as dicts and manifests as three
-numpy arrays replay unchanged.
+with the master's :class:`~repro.repository.master_graphs.MasterRefs`.
+The ``store_*`` records carry their new content by value: until the
+next checkpoint writes it to the content file
+(:mod:`repro.repository.persistence`), the record is its only copy.
 
-Each record unpickles on its own, so a replayed payload shares no
-object with what the repository already holds.  Replay points it at
-the held objects (:class:`HeldPayloads`): packages by blob key, a
-base's attributes and skeleton, the strings of replayed packages, the
-masters' vertex keys, and a VMI record's name, primary identities and
-data label — so the next checkpoint pickles each once, as a snapshot
-load would have kept them.
+Format versions.  This build writes header version 2.  It reads
+version 1 logs too, whose master records hold package graphs by value,
+and it continues appending to such a log (in the records above) until
+the next checkpoint starts a version 2 log; replay tells the two record
+forms apart by type.  A build that predates version 2 refuses a version
+2 header, and a record naming ``GraphRefs`` or ``MasterRefs`` as an
+unloadable record, with ``WorkspaceError`` before changing any file.
+Packages pickle as calls of ``repro.model.package._unpickle_package``
+and file manifests as calls of ``repro.image.manifest._unpickle_manifest``
+(see DESIGN.md §11); older records holding packages as dicts and
+manifests as three numpy arrays replay unchanged.
+
+A replayed record unpickles its payload on its own, so a replayed VMI
+record is pointed at the strings the repository already holds
+(:class:`HeldPayloads`): its name at its master's member entry, its
+primary identities at the held packages', its data label at the held
+user data's — so the next checkpoint pickles each once.
 
 Log layout: one header record naming the op-log format version and the
 ``mutations`` counter of the snapshot this log continues from (so a
@@ -52,6 +59,12 @@ at least the state the repository reached.  A crash mid-append leaves a
 last complete record and report the torn bytes; reopening for append
 truncates them, which is exactly the classic WAL recovery contract:
 an operation whose journal record never became durable never happened.
+A checkpoint replaces the snapshot before it starts a fresh log
+(:meth:`OpLog.create`, itself atomic), so a crash between the two
+leaves a log whose header names an older ``mutations`` count than the
+snapshot's: it is subsumed, and reopening starts a fresh one.  The
+content its ``store_*`` records carried is in the content file by then,
+since the checkpoint appends it before it replaces the snapshot.
 
 Like snapshots, the log is pickle-based and must only be read from
 trusted sources (it is produced and consumed by the same application).
@@ -67,9 +80,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkspaceError
-from repro.model.package import Package, share_strings
-from repro.model.vmi import BaseImage
-from repro.repository.master_graphs import master_from_state
+from repro.model.graph import GraphRefs, SemanticGraph
+from repro.repository.master_graphs import (
+    MasterRefs,
+    master_from_refs,
+    master_from_state,
+)
 from repro.repository.persistence import replace_atomically
 from repro.repository.repo import Repository, VMIRecord
 
@@ -83,7 +99,9 @@ __all__ = [
     "unloadable_error",
 ]
 
-_OPLOG_VERSION = 1
+_OPLOG_VERSION = 2
+#: header versions this build replays (1: master records by value)
+_READABLE_VERSIONS = (1, 2)
 
 #: what unpickling a *complete* record raises when it names a module or
 #: class this process cannot import.  Pickle's length-prefixed strings
@@ -157,80 +175,32 @@ class ReplayReport:
 
 
 class HeldPayloads:
-    """What a replay points unpickled payloads at: the package objects
-    the repository holds by blob key (the package store's, else a
-    stored base's own), one stored base per attribute quadruple, the
-    masters' vertex keys and member names, the held packages' identity
-    tuples and the held user data's labels.
+    """What a replay points unpickled VMI records at: the masters'
+    member names, the held packages' identity tuples and the held user
+    data's labels.
 
-    Each op-log record unpickles on its own, so a replayed payload
-    shares nothing with the objects already held; pointing it at them
-    keeps the sharing a live session has, and the next checkpoint
-    pickles each object once (as :meth:`MasterGraph.share_payloads`
-    does for master vertices).  The indexes are built on first use, so
-    a replay pays only for the kinds of record it holds.
+    Each op-log record unpickles on its own, so a replayed record's
+    strings are copies; pointing them at the held ones keeps the
+    sharing a live session has, and the next checkpoint pickles each
+    once.  The identity index is built on first use, and grows by the
+    identities the replay meets.
     """
 
     def __init__(self, repo: Repository) -> None:
         self._repo = repo
-        #: packages the replay added that no stored object held
-        self._added: dict[int, Package] = {}
-        #: the strings of those packages
-        self._strings: dict[str, str] = {}
-        self._base_packages: dict[str, list[Package]] | None = None
-        self._bases: dict[tuple, BaseImage] | None = None
-        self._keys: dict[str, str] | None = None
         self._identities: dict[tuple, tuple] | None = None
+        self._strings: dict[str, str] = {}
 
-    def _in_bases(self, pkg: Package, key: int) -> Package | None:
-        """A stored base's own package with blob key ``key``."""
-        if self._base_packages is None:
-            self._base_packages = {}
-            for base in self._repo.base_images():
-                for own in base.packages:
-                    self._base_packages.setdefault(own.name, []).append(own)
-        for own in self._base_packages.get(pkg.name, ()):
-            if own.blob_key() == key:
-                return own
-        return None
-
-    def package(self, pkg: Package) -> Package:
-        """The held package with ``pkg``'s blob key, else ``pkg``, its
-        strings pointed at those of the packages added before it."""
-        key = pkg.blob_key()
-        held = (
-            self._repo.find_package(key)
-            or self._added.get(key)
-            or self._in_bases(pkg, key)
-        )
+    def _identity(self, identity: tuple) -> tuple:
+        """The held identity tuple equal to ``identity``; one not held
+        yet joins the index over held strings, so later records of the
+        same replay share it."""
+        held = self._identities.get(identity)
         if held is None:
-            share_strings(pkg, self._strings)
-            self._added[key] = held = pkg
-            if self._identities is not None:
-                self._identities.setdefault(pkg.identity, pkg.identity)
+            strings = self._strings
+            held = tuple(strings.setdefault(text, text) for text in identity)
+            self._identities[held] = held
         return held
-
-    def base(self, base: BaseImage) -> BaseImage:
-        """``base`` over held packages, and over the attributes and
-        skeleton of a held base with the same quadruple when equal."""
-        if self._bases is None:
-            self._bases = {
-                held.attrs.key(): held for held in self._repo.base_images()
-            }
-        packages = tuple(self.package(pkg) for pkg in base.packages)
-        attrs, skeleton = base.attrs, base.skeleton
-        twin = self._bases.setdefault(attrs.key(), base)
-        if twin is not base and twin.attrs == attrs:
-            attrs = twin.attrs
-            if twin.skeleton == skeleton:
-                skeleton = twin.skeleton
-        if (
-            attrs is not base.attrs
-            or skeleton is not base.skeleton
-            or any(a is not b for a, b in zip(packages, base.packages))
-        ):
-            base = BaseImage(attrs=attrs, packages=packages, skeleton=skeleton)
-        return base
 
     def record(self, rec: VMIRecord) -> VMIRecord:
         """``rec`` over held strings: its name the entry of its
@@ -241,9 +211,9 @@ class HeldPayloads:
             self._identities = {}
             for pkg in self._repo.packages():
                 self._identities.setdefault(pkg.identity, pkg.identity)
-        identities = tuple(
-            self._identities.get(i, i) for i in rec.primary_identities
-        )
+                for text in pkg.identity:
+                    self._strings.setdefault(text, text)
+        identities = tuple(map(self._identity, rec.primary_identities))
         names = {i[0]: i[0] for i in identities}
         name = rec.name
         master = self._repo.find_master_graph(rec.base_key)
@@ -262,18 +232,6 @@ class HeldPayloads:
             primary_identities=identities,
         )
 
-    def vertex_keys(self) -> dict[str, str]:
-        """The vertex keys of every master's package graph, ``{k: k}``
-        (the first master's object where two hold equal keys); kept
-        current by :meth:`SemanticGraph.share_keys` on each replayed
-        graph."""
-        if self._keys is None:
-            self._keys = {}
-            for master in self._repo.master_graphs():
-                for key in master.package_graph.node_keys():
-                    self._keys.setdefault(key, key)
-        return self._keys
-
 
 def apply_op(
     repo: Repository,
@@ -290,34 +248,32 @@ def apply_op(
     """
     if record.op not in _REPLAYABLE_OPS:
         raise WorkspaceError(f"unknown op-log operation {record.op!r}")
-    # a record's payload unpickles as fresh copies: it is pointed at
-    # what the repository already holds before it joins, so later
-    # checkpoints pickle each object once
-    if held is None:
-        held = HeldPayloads(repo)
     if record.op == "put_master_graph":
         (state,) = record.args
-        base = repo.get_base_image(state["base_key"])
-        state["package_graph"].share_keys(held.vertex_keys())
-        repo.put_master_graph(
-            master_from_state(base, state, repo.find_package)
-        )
+        if isinstance(state, MasterRefs):
+            master = master_from_refs(
+                repo.get_base_image(state.base_key),
+                state,
+                repo.package_resolver(state.base_key),
+            )
+        else:  # a version 1 record: the graph by value
+            master = master_from_state(
+                repo.get_base_image(state["base_key"]), state
+            )
+        repo.put_master_graph(master)
         return
     if record.op == "add_master_member":
-        base_key, subgraph = record.args[:2]
-        master = repo.get_master_graph(base_key)
-        master.share_payloads(subgraph, repo.find_package)
-        subgraph.share_keys(held.vertex_keys())
-    elif record.op == "store_package":
-        (pkg,) = record.args
-        repo.store_package(held.package(pkg))
+        base_key, subgraph, *rest = record.args
+        if isinstance(subgraph, GraphRefs):
+            subgraph = SemanticGraph.from_refs(
+                subgraph, repo.package_resolver(base_key)
+            )
+        repo.add_master_member(base_key, subgraph, *rest)
         return
-    elif record.op == "store_base_image":
-        (base,) = record.args
-        repo.store_base_image(held.base(base))
-        return
-    elif record.op == "record_vmi":
+    if record.op == "record_vmi":
         rec, package_keys = record.args
+        if held is None:
+            held = HeldPayloads(repo)
         repo.record_vmi(held.record(rec), package_keys)
         return
     getattr(repo, record.op)(*record.args)
@@ -393,7 +349,7 @@ class OpLog:
             ) from exc
         if (
             not isinstance(header, dict)
-            or header.get("oplog") != _OPLOG_VERSION
+            or header.get("oplog") not in _READABLE_VERSIONS
         ):
             raise WorkspaceError(
                 f"op-log {path} has unsupported header {header!r}"

@@ -10,6 +10,7 @@ each figure can attribute durations to the operations the paper names.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import wraps
 
@@ -29,9 +30,9 @@ from repro.repository.database import (
 from repro.repository.locking import RepositoryLock
 from repro.repository.master_graphs import (
     MasterGraph,
+    MasterRefs,
     issue_revision,
-    master_from_state,
-    master_state,
+    master_refs,
 )
 from repro.similarity.base import compatible_arch, same_release_version
 
@@ -131,6 +132,9 @@ class Repository:
         #: re-derived by the next GC pass (a deletion or base
         #: replacement touched them since the last pass)
         self._dirty_bases: set[int] = set()
+        #: stored base key -> its own packages by blob key, built on
+        #: first use (journal records name those packages by key)
+        self._own: dict[int, dict[int, Package]] = {}
         #: write-ahead journal sink (the workspace op-log); every
         #: state-changing primitive appends its op *before* applying
         self._journal = None
@@ -206,15 +210,19 @@ class Repository:
         """Fill this empty repository with snapshot content in one pass.
 
         Lands exactly the state the primitives would reach applying the
-        same content one object at a time (bases, packages, user data,
-        then ``masters``, a list of master states, then ``records``, a
-        list of ``(record, package keys)`` pairs): the same insertion
-        orders in every map, the blob store and the metadata index, and
-        the refcounts :meth:`record_vmi` would have counted, including
-        the entries of keys a record names but nothing stores.  Nothing
-        is journaled.  ``mutations`` restores the saved counter exactly;
-        without it (snapshot format v1) the counter ends at the number
-        of primitives the content stands for.
+        same content one object at a time (``bases``, ``packages`` and
+        ``user_data`` as ``(blob key, size, object)`` triples, then
+        ``masters``, master graphs over the restored bases, then
+        ``records``, a list of ``(record, package keys)`` pairs): the
+        same insertion orders in every map,
+        the blob store and the metadata index, and the refcounts
+        :meth:`record_vmi` would have counted, including the entries of
+        keys a record names but nothing stores.  The keys and sizes are
+        taken as given, not re-derived (a base or user-data size of
+        None is derived; a package's is its ``deb_size``).
+        Nothing is journaled.  ``mutations`` restores the saved counter
+        exactly; without it (snapshot format v1) the counter ends at
+        the number of primitives the content stands for.
 
         Raises:
             ValueError: the repository is not empty, or ``mutations``
@@ -225,18 +233,18 @@ class Repository:
         if self._mutations or len(self.blobs) or self._vmi_records:
             raise ValueError("restore needs an empty repository")
         applied = 0
-        for base in bases:
-            self._add_base_image(base.blob_key(), base)
+        for key, size, base in bases:
+            self._add_base_image(key, base, size)
             applied += 1
-        for pkg in packages:
-            self._add_package(pkg.blob_key(), pkg)
+        for key, _, pkg in packages:
+            self._add_package(key, pkg)
             applied += 1
-        for data in user_data:
-            self._add_user_data(data)
+        for key, size, data in user_data:
+            self._add_user_data(data, key, size)
             applied += 1
-        for state in masters:
-            base = self.get_base_image(state["base_key"])
-            self._add_master(master_from_state(base, state, self.find_package))
+        for master in masters:
+            self.get_base_image(master.base_key)
+            self._add_master(master)
             applied += 1
         base_refs, data_refs = self._base_refs, self._data_refs
         pkg_refs = self._pkg_refs
@@ -492,12 +500,16 @@ class Repository:
         return True
 
     # reprolint: unlocked — only called inside locked primitives
-    def _add_user_data(self, data: UserData) -> None:
+    def _add_user_data(
+        self, data: UserData, key: int | None = None, size: int | None = None
+    ) -> None:
         """Put a user-data payload into the blob store and the object
         map, at refcount 0 unless records already count it."""
-        self.blobs.put(
-            data.blob_key(), BlobKind.USER_DATA, data.size, data.label
-        )
+        if key is None:
+            key = data.blob_key()
+        if size is None:
+            size = data.size
+        self.blobs.put(key, BlobKind.USER_DATA, size, data.label)
         self._data[data.label] = data
         self._data_refs.setdefault(data.label, 0)
         if self._data_refs[data.label] == 0:
@@ -523,6 +535,30 @@ class Repository:
         """All stored user-data payloads, label order."""
         return [self._data[label] for label in self.user_data_labels()]
 
+    def stored_objects(self) -> tuple[list, list, list]:
+        """Every stored package, base image and user-data payload as a
+        ``(blob key, size, object)`` triple: packages in
+        :meth:`packages` order, bases in :meth:`base_images` order and
+        user data in label order (snapshot bytes depend on them)."""
+        blobs = self.blobs
+        packages = [
+            (row.blob_key, blobs.get(row.blob_key).size,
+             self._packages[row.blob_key])
+            for row in self.db.all_packages()
+        ]
+        bases = [
+            (row.blob_key, row.size, self._bases[row.blob_key])
+            for row in self.db.base_images()
+        ]
+        data_blobs = {
+            blob.label: blob for blob in blobs.records(BlobKind.USER_DATA)
+        }
+        data = []
+        for label in self.user_data_labels():
+            blob = data_blobs[label]
+            data.append((blob.key, blob.size, self._data[label]))
+        return packages, bases, data
+
     # ------------------------------------------------------------------
     # base images
     # ------------------------------------------------------------------
@@ -539,14 +575,15 @@ class Repository:
         return True
 
     # reprolint: unlocked — only called inside locked primitives
-    def _add_base_image(self, key: int, base: BaseImage) -> None:
+    def _add_base_image(
+        self, key: int, base: BaseImage, size: int | None = None
+    ) -> None:
         """Put a base image into the blob store (as its qcow2), the
         object map and the index, at refcount 0 unless records already
         count it."""
-        qcow = base_image_qcow2(base)
-        self.blobs.put(
-            key, BlobKind.BASE_IMAGE, qcow.size, str(base.attrs)
-        )
+        if size is None:
+            size = base_image_qcow2(base).size
+        self.blobs.put(key, BlobKind.BASE_IMAGE, size, str(base.attrs))
         self._bases[key] = base
         self._base_refs.setdefault(key, 0)
         if self._base_refs[key] == 0:
@@ -558,7 +595,7 @@ class Repository:
                 distro=base.attrs.distro,
                 version=base.attrs.version,
                 arch=base.attrs.arch,
-                size=qcow.size,
+                size=size,
                 n_packages=len(base.packages),
             )
         )
@@ -580,6 +617,7 @@ class Repository:
         self._base_refs.pop(key, None)
         self._zero_bases.discard(key)
         self._dirty_bases.discard(key)
+        self._own.pop(key, None)
         if self._masters.pop(key, None) is not None:
             siblings = self._masters_by_attrs.get(base.attrs.key(), [])
             if key in siblings:
@@ -662,10 +700,12 @@ class Repository:
 
     @_exclusive
     def put_master_graph(self, master: MasterGraph) -> None:
-        # the journal entry is the master's *content* (not the object):
-        # the base is already journaled by its own store op, so the
-        # entry carries exactly what a reload cannot re-derive
-        self._log("put_master_graph", master_state(master))
+        # the journal entry is the master's *content* by reference: the
+        # base and the stored packages are journaled by their own store
+        # ops, so the entry carries exactly what a reload cannot
+        # re-derive
+        if self._journal is not None:
+            self._log("put_master_graph", self.master_refs(master))
         self._mutated()
         self._add_master(master)
 
@@ -703,12 +743,67 @@ class Repository:
         master.require_compatible(subgraph)
         if revision is None:
             revision = issue_revision()
-        self._log("add_master_member", base_key, subgraph, vmi_name, revision)
+        if self._journal is not None:
+            self._log(
+                "add_master_member",
+                base_key,
+                subgraph.to_refs(self._package_ref(master.base)),
+                vmi_name,
+                revision,
+            )
         self._mutated()
         master.add_compatible_subgraph(subgraph, vmi_name, revision=revision)
 
     def master_graphs(self) -> list[MasterGraph]:
         return list(self._masters.values())
+
+    def master_refs(self, master: MasterGraph) -> MasterRefs:
+        """``master`` by reference: each vertex payload as its blob key
+        when the package store or the master's base holds it, else as
+        itself — what a journal record or a snapshot can name, since a
+        checkpoint writes every stored package and every stored base's
+        own packages to the content file."""
+        return master_refs(master, self._package_ref(master.base))
+
+    # reprolint: unlocked — benign-race memo of an immutable base's
+    # packages: two racing writers store equal maps
+    def own_packages(self, base: BaseImage) -> dict[int, Package]:
+        """A base image's own packages by blob key (memoised per stored
+        base; treat as read-only)."""
+        key = base.blob_key()
+        own = self._own.get(key)
+        if own is None:
+            own = {pkg.blob_key(): pkg for pkg in base.packages}
+            self._own[key] = own
+        return own
+
+    def _package_ref(self, base: BaseImage) -> Callable[[Package], object]:
+        """A payload's journal form in a master over ``base``: its blob
+        key when the package store or the base holds it, else itself."""
+        stored, own = self._packages, self.own_packages(base)
+
+        def ref(pkg: Package) -> object:
+            key = pkg.blob_key()
+            return key if key in stored or key in own else pkg
+
+        return ref
+
+    def package_resolver(self, base_key: int) -> Callable[[int], Package]:
+        """How a journal record's blob keys in a master over the stored
+        base ``base_key`` read back: the stored package, else the
+        base's own.
+
+        Raises:
+            NotInRepositoryError: unknown base key.
+        """
+        stored = self._packages
+        own = self.own_packages(self.get_base_image(base_key))
+
+        def resolve(key: int) -> Package:
+            pkg = stored.get(key)
+            return own[key] if pkg is None else pkg
+
+        return resolve
 
     def masters_with_attrs(self, attrs) -> list[MasterGraph]:
         """Masters whose base shares the (T, D, V, A) quadruple.

@@ -3,8 +3,12 @@
 A *workspace* is a directory that makes one repository survive process
 exits the way the paper's SQLite-on-SSD store does:
 
-* ``snapshot.bin`` — the last checkpoint (snapshot format v2, exact
-  round-trip: master revisions, mutation counter, dirty state);
+* ``content-<generation>.bin`` — the append-only content file: every
+  package, base image and user-data payload, written once, by the
+  first checkpoint that finds it stored;
+* ``snapshot.bin`` — the last checkpoint's metadata (snapshot format
+  v3, exact round-trip: master revisions by blob key, mutation counter,
+  dirty state, and the content file's generation and committed length);
 * ``oplog.bin`` — the write-ahead journal of every repository primitive
   applied since that checkpoint.
 
@@ -14,13 +18,27 @@ not O(repository), and a process crash loses at most a torn tail
 record (an operation whose journal entry never became durable, i.e. an
 operation that never logically happened).
 
-Checkpointing writes a fresh snapshot atomically (temp file +
-``os.replace``) and *then* starts a fresh op-log.  The crash window
-between the two leaves a snapshot newer than the log header; since no
-operation can run inside that window, the stale log is provably
-subsumed by the snapshot and is discarded on the next open.  Any other
-snapshot/op-log disagreement is a real pairing error and raises
-:class:`~repro.errors.WorkspaceError` instead of replaying garbage.
+Checkpointing runs four steps, each safe to crash after:
+
+1. append the content stored since the last checkpoint as one frame
+   (or, when the content file's dead bytes exceed its live bytes,
+   write the live content as the next generation).  A crash leaves
+   bytes past the committed length, or an unnamed generation: the old
+   snapshot never reads them, and the next checkpoint truncates or
+   removes them;
+2. replace the snapshot atomically (temp file + ``os.replace``); it
+   names the content file's new generation and length;
+3. start a fresh op-log.  A crash between 2 and 3 leaves a snapshot
+   newer than the log header; since no operation can run inside that
+   window, the stale log is provably subsumed by the snapshot and is
+   discarded on the next open;
+4. remove the content files of other generations.
+
+Any other snapshot/op-log disagreement is a real pairing error and
+raises :class:`~repro.errors.WorkspaceError` instead of replaying
+garbage.  A snapshot in an older format (v1/v2, every object by value)
+loads through the legacy loader and no file changes until the first
+checkpoint, which writes the content file and a v3 snapshot.
 
 **Advisory locking.**  A workspace admits one live process at a time:
 opening (or adopting into) a directory takes an exclusive
@@ -57,7 +75,13 @@ from repro.repository.oplog import (
     replay_ops,
     unloadable_error,
 )
-from repro.repository.persistence import restore_into, save_repository
+from repro.repository.persistence import (
+    ContentFile,
+    repository_content,
+    repository_state,
+    restore_into,
+    write_state,
+)
 from repro.repository.repo import Repository
 
 __all__ = ["Workspace"]
@@ -83,6 +107,7 @@ class Workspace:
         self.path = Path(path)
         self._repo: Repository | None = None
         self._oplog: OpLog | None = None
+        self._content = ContentFile(self.path)
         self._holds_lock = False
         self._lock_token: object | None = None
         #: ops replayed by the last :meth:`load` (reopen cost probe)
@@ -238,6 +263,7 @@ class Workspace:
                 corrupt, or naming a class this process lacks), or its
                 content does not restore.
         """
+        self._content = ContentFile(self.path)
         if not self.snapshot_path.exists():
             return
         try:
@@ -250,13 +276,38 @@ class Workspace:
             raise WorkspaceError(
                 f"snapshot {self.snapshot_path} is unreadable: {exc}"
             ) from exc
+        objects = None
+        position = state.get("content") if isinstance(state, dict) else None
+        if position is not None:
+            objects = self._load_content(*position)
         try:
-            restore_into(repo, state)
+            restore_into(repo, state, objects)
         except (ValueError, RepositoryError) as exc:
             raise WorkspaceError(
                 f"workspace {self.path}: snapshot {self.snapshot_path} "
                 f"does not restore: {exc}"
             ) from exc
+
+    def _load_content(self, generation: int, length: int) -> dict:
+        """Read the content file the snapshot names; its objects by
+        blob key.
+
+        Raises:
+            WorkspaceError: the file is missing, short, damaged, or
+                holds a record naming a class this process lacks.
+        """
+        content = ContentFile(self.path, generation, length)
+        try:
+            self._content, objects = ContentFile.load(
+                self.path, generation, length
+            )
+        except UNLOADABLE as exc:
+            raise unloadable_error(f"content file {content.path}", exc) from exc
+        except Exception as exc:
+            raise WorkspaceError(
+                f"content file {content.path} is unreadable: {exc}"
+            ) from exc
+        return objects
 
     def _replay_oplog(self, repo: Repository) -> None:
         """Replay the op-log on top of the snapshot and open it for
@@ -326,21 +377,31 @@ class Workspace:
             raise
 
     def checkpoint(self) -> int:
-        """Write a snapshot and truncate the op-log; returns its bytes.
+        """Write new content and a snapshot, truncate the op-log;
+        returns the snapshot's bytes.
 
         After a checkpoint the op-log is empty, so the next reopen
-        pays pure snapshot-load cost.  The snapshot write is atomic
-        (temp + rename); see the module docstring for the crash window
-        between the write and the log reset.
+        pays pure snapshot-load cost.  See the module docstring for
+        the four steps and the crash window after each.
         """
         repo = self.repo
-        size = save_repository(repo, self.snapshot_path)
+        live = repository_content(repo)
+        content = self._content
+        if content.needs_compaction(live):
+            content = content.rewrite(live.items())
+        else:
+            content.append(live.items())
+        state = repository_state(repo)
+        state["content"] = content.position
+        size = write_state(self.snapshot_path, state)
+        self._content = content
         if self._oplog is not None:
             self._oplog.close()
         self._oplog = OpLog.create(
             self.oplog_path, snapshot_mutations=repo.mutations
         )
         repo.attach_journal(self._oplog)
+        content.remove_other_generations()
         self.checkpoints_written += 1
         return size
 

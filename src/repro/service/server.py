@@ -197,9 +197,10 @@ class ImageServer:
                 # save drops it from the journal
                 size = repo.get_vmi_record(str(stored)).mounted_size
                 self.tenants.record_owned(str(tenant), str(stored), size)
-            except (NotInRepositoryError, UnknownTenantError):
-                # or: strict registry, tenant no longer provisioned —
-                # the image stays stored but is not served to anyone
+            except (NotInRepositoryError, UnknownTenantError, ProtocolError):
+                # or: strict registry, tenant no longer provisioned, or
+                # a name no tenant may carry — the image stays stored
+                # but is not served to anyone
                 continue
 
     def _save_owners(self) -> None:

@@ -83,22 +83,24 @@ class SimulatedClock:
         for window in self._windows:
             window[label] = window.get(label, 0.0) + seconds
 
-    def advance_all(self, charges: Sequence[tuple[float, str]]) -> None:
-        """``advance(seconds, label)`` for each charge, in order: the
-        same floats added in the same order to ``now`` and to every
-        open window.  A negative duration anywhere raises before
-        anything is charged."""
-        for seconds, _ in charges:
-            if seconds < 0:
-                raise ValueError(f"cannot advance clock by {seconds} s")
+    def advance_all(
+        self, seconds: Sequence[float], labels: Sequence[str]
+    ) -> None:
+        """``advance(s, label)`` for each pair of ``seconds`` and
+        ``labels``, in order: the same floats added in the same order
+        to ``now`` and to every open window.  A negative duration
+        anywhere raises before anything is charged."""
+        for duration in seconds:
+            if duration < 0:
+                raise ValueError(f"cannot advance clock by {duration} s")
         with self._lock:
             now = self._now
-            for seconds, _ in charges:
-                now += seconds
+            for duration in seconds:
+                now += duration
             self._now = now
         for window in self._windows:
-            for seconds, label in charges:
-                window[label] = window.get(label, 0.0) + seconds
+            for duration, label in zip(seconds, labels):
+                window[label] = window.get(label, 0.0) + duration
 
     @contextmanager
     def measure(self) -> Iterator[TimeBreakdown]:

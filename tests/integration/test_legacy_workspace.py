@@ -7,6 +7,13 @@ whose publishes journaled the whole merged master graph
 (``add_master_member``): a snapshot plus an un-checkpointed op-log of
 such publishes, a delete and an incremental GC pass.
 
+``v2_workspace`` was written by ``tests/fixtures/make_v2_workspace.py``
+at the last commit before the content file: a snapshot in format v2
+(every stored object by value) plus an un-checkpointed op-log (header
+version 1) of publishes into stored masters, whose
+``add_master_member`` records hold the upload's subgraph by value, and
+a delete.
+
 The networkx fixtures were written by
 ``tests/fixtures/make_networkx_workspace.py`` at the last commit whose
 snapshots and op-log records pickled each ``SemanticGraph`` as a
@@ -25,6 +32,7 @@ never read an unimportable record as a torn tail and truncate it.
 """
 
 import json
+import pickle
 import shutil
 import sys
 from pathlib import Path
@@ -33,8 +41,12 @@ import pytest
 
 from repro.core.system import Expelliarmus
 from repro.errors import WorkspaceError
+from repro.model import graph as graph_module
 from repro.model import package as package_module
 from repro.model.package import Package
+from repro.repository import master_graphs as master_graphs_module
+from repro.repository import oplog as oplog_module
+from repro.repository import persistence
 from repro.repository.oplog import OpLog
 from repro.service.protocol import manifest_digest
 from repro.workloads.scale import scale_corpus
@@ -267,8 +279,8 @@ def test_older_reader_refuses_new_manifest_records_untouched(
     tmp_path, monkeypatch, checkpointed
 ):
     """A build without ``_unpickle_manifest`` meets this build's
-    manifest records — in the snapshot, or (never checkpointed) in the
-    op-log's ``store_user_data`` / ``store_base_image`` records: it
+    manifest records — in the content file, or (never checkpointed) in
+    the op-log's ``store_user_data`` / ``store_base_image`` records: it
     must refuse the workspace, not read them as a torn tail."""
     ws = tmp_path / "ws"
     corpus = scale_corpus(4, n_families=1, seed="older-manifest-reader")
@@ -282,7 +294,7 @@ def test_older_reader_refuses_new_manifest_records_untouched(
     ops = [r.op for r in OpLog.read(ws / "oplog.bin").ops]
     assert "store_user_data" in ops
 
-    where = "snapshot" if checkpointed else "op-log"
+    where = "content file" if checkpointed else "op-log"
     with monkeypatch.context() as older:
         _older_manifest_reader(older)
         with pytest.raises(WorkspaceError, match=f"{where} .* cannot load"):
@@ -293,5 +305,110 @@ def test_older_reader_refuses_new_manifest_records_untouched(
     try:
         assert reopened.workspace.replayed_ops == len(ops)
         assert reopened.fsck().clean
+    finally:
+        reopened.close()
+
+
+#: the corpus make_v2_workspace.py publishes from: its CORPUS_SIZE,
+#: CORPUS_SEED and WRITTEN (images already in the fixture)
+V2_CORPUS = (12, "v2-workspace", 9)
+
+
+def test_v2_workspace_opens_untouched_and_converts_at_checkpoint(tmp_path):
+    fixture = "v2_workspace"
+    ops = [r.op for r in OpLog.read(FIXTURES / fixture / "oplog.bin").ops]
+    assert {"add_master_member", "record_vmi"} <= set(ops)
+    ws = _copy(tmp_path, fixture)
+    pristine = _file_bytes(ws)
+    assert pickle.loads(pristine["snapshot.bin"])["version"] == 2
+    recorded = json.loads(pristine["digests.json"])
+    system = Expelliarmus.open(ws)
+    try:
+        assert system.workspace.replayed_ops == len(ops)
+        assert system.fsck().clean
+        assert _retrievals(system) == recorded
+    finally:
+        system.close()
+    # opening, checking and retrieving write nothing
+    assert _file_bytes(ws) == pristine
+
+    # publishes append to the old log; no other file changes
+    size, seed, written = V2_CORPUS
+    corpus = scale_corpus(size, n_families=2, seed=seed)
+    system = Expelliarmus.open(ws)
+    for index in range(written, size):
+        system.publish(corpus.build(index))
+    expected = _retrievals(system)
+    system.close()
+    grown = _file_bytes(ws)
+    assert grown.keys() == pristine.keys()
+    assert grown["snapshot.bin"] == pristine["snapshot.bin"]
+    assert grown["oplog.bin"].startswith(pristine["oplog.bin"])
+
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.fsck().clean
+        assert _retrievals(reopened) == expected
+        assert {name: expected[name] for name in recorded} == recorded
+        reopened.save()
+    finally:
+        reopened.close()
+    # the first checkpoint converts: content file, v3 snapshot, and a
+    # fresh log in the current header version
+    converted = _file_bytes(ws)
+    assert "content-1.bin" in converted
+    assert pickle.loads(converted["snapshot.bin"])["version"] == 3
+    assert OpLog.read(ws / "oplog.bin").n_ops == 0
+    assert pickle.loads(converted["oplog.bin"])["oplog"] == 2
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.workspace.replayed_ops == 0
+        assert reopened.fsck().clean
+        assert _retrievals(reopened) == expected
+    finally:
+        reopened.close()
+
+
+def _content_file_predating_reader(context) -> None:
+    """This process as a build that predates the content file: it reads
+    snapshot formats v1 and v2 and op-log header version 1 only, and
+    has neither ``GraphRefs`` nor ``MasterRefs``."""
+    context.setattr(persistence, "_FORMAT_VERSION", 2)
+    context.setattr(persistence, "_LEGACY_VERSIONS", (1,))
+    context.setattr(oplog_module, "_READABLE_VERSIONS", (1,))
+    context.delattr(graph_module, "GraphRefs")
+    context.delattr(master_graphs_module, "MasterRefs")
+
+
+@pytest.mark.parametrize("checkpointed", (True, False))
+def test_older_reader_refuses_a_content_file_workspace_untouched(
+    tmp_path, monkeypatch, checkpointed
+):
+    """A build that predates the content file meets a workspace written
+    now — checkpointed (a v3 snapshot and a content file), or only an
+    op-log — and must refuse it, changing no file."""
+    ws = tmp_path / "ws"
+    corpus = scale_corpus(4, n_families=1, seed="older-workspace-reader")
+    system = Expelliarmus.open(ws)
+    system.publish_many([corpus.build(i) for i in range(3)])
+    if checkpointed:
+        system.save()
+    system.publish(corpus.build(3))
+    system.close()
+    written = _file_bytes(ws)
+    assert ("content-1.bin" in written) == checkpointed
+
+    with monkeypatch.context() as older:
+        _content_file_predating_reader(older)
+        with pytest.raises(WorkspaceError):
+            Expelliarmus.open(ws)
+    assert _file_bytes(ws) == written
+
+    reopened = Expelliarmus.open(ws)
+    try:
+        assert reopened.fsck().clean
+        assert sorted(reopened.published_names()) == sorted(
+            corpus.spec(i).name for i in range(4)
+        )
     finally:
         reopened.close()

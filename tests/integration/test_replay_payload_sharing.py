@@ -1,17 +1,23 @@
-"""Replayed and restored master vertices share the repository's objects.
+"""Replayed and restored master vertices are the repository's objects.
 
-An op-log record or a snapshot unpickles its packages as fresh copies.
-A master graph rebuilt from one must point its vertices at the package
-store's object with the same blob key (else at the base image's own
-package), or every later checkpoint pickles those packages a second
-time, for good.
+Op-log records and snapshots name a master's vertices by blob key, and
+reading one back resolves each key against the objects the repository
+holds (the package store's, else the base image's own), so a rebuilt
+master shares them.  Each content object is written once, to the
+content file; a checkpoint after a replay writes none twice.
 """
 
+import io
 import pickle
+import struct
 
 from repro.core.system import Expelliarmus
 from repro.repository.master_graphs import master_content
-from repro.repository.persistence import repository_state, restore_into
+from repro.repository.persistence import (
+    repository_content,
+    repository_state,
+    restore_into,
+)
 from repro.repository.repo import Repository
 from repro.workloads.scale import scale_corpus
 
@@ -79,14 +85,17 @@ def test_snapshot_restore_shares_copied_vertices():
     corpus = _corpus()
     system = Expelliarmus()
     system.publish_many([corpus.build(i) for i in range(48)])
+    # the metadata and the content unpickle apart, as a snapshot and
+    # its content file do
     state = pickle.loads(
         pickle.dumps(repository_state(system.repo), pickle.HIGHEST_PROTOCOL)
     )
-    # masters pickled apart from the store: every vertex is a copy
-    state["masters"] = pickle.loads(
-        pickle.dumps(state["masters"], pickle.HIGHEST_PROTOCOL)
+    content = pickle.loads(
+        pickle.dumps(
+            repository_content(system.repo), pickle.HIGHEST_PROTOCOL
+        )
     )
-    restored = restore_into(Repository(), state)
+    restored = restore_into(Repository(), state, content)
     assert _stored_vertices(restored) > 0
     assert _unshared_vertices(restored) == []
     assert {
@@ -96,24 +105,44 @@ def test_snapshot_restore_shares_copied_vertices():
     }
 
 
-def test_checkpoint_after_replay_pickles_each_package_once(tmp_path):
+def _content_entries(path) -> list[int]:
+    """The blob key of every entry of a content file, in file order."""
+    data = path.read_bytes()
+    keys, offset = [], 0
+    while offset < len(data):
+        size, _ = struct.unpack_from("<II", data, offset)
+        payload = io.BytesIO(data[offset + 8:offset + 8 + size])
+        unpickler = pickle.Unpickler(payload)
+        while payload.tell() < size:
+            keys.append(unpickler.load()[0])
+        offset += 8 + size
+    return keys
+
+
+def test_checkpoint_after_replay_writes_each_object_once(tmp_path):
     system = _reopened_after_replay(tmp_path)
     try:
         written = system.save()
         snapshot = system.workspace.snapshot_path.read_bytes()
+        repo = system.repo
+        content = repository_content(repo)
+        stored = {pkg.blob_key() for pkg in repo.packages()}
+        own = {
+            key: set(repo.own_packages(repo.get_base_image(key)))
+            for key in (m.base_key for m in repo.master_graphs())
+        }
     finally:
         system.close()
     assert written == len(snapshot)
-    # pickle keeps object identity within one file: a vertex written as
-    # a second copy of a stored package loads as a distinct object
+    entries = _content_entries(tmp_path / "ws" / "content-1.bin")
+    assert len(entries) == len(set(entries))
+    assert content.keys() <= set(entries)
+    # every vertex the package store or its base holds is named by key
     state = pickle.loads(snapshot)
-    stored = {p.blob_key(): p for p in state["packages"]}
-    vertices = [
-        pkg for m in state["masters"] for pkg in m["package_graph"].packages()
+    refs = [(m.base_key, ref) for m in state["masters"] for ref in m.graph.refs]
+    assert any(isinstance(ref, int) for _, ref in refs)
+    assert not [
+        ref for base_key, ref in refs
+        if not isinstance(ref, int)
+        and ref.blob_key() in stored | own[base_key]
     ]
-    assert any(pkg.blob_key() in stored for pkg in vertices)
-    assert all(
-        stored[pkg.blob_key()] is pkg
-        for pkg in vertices
-        if pkg.blob_key() in stored
-    )

@@ -8,8 +8,9 @@ former restore, which called the journaled store/record primitives
 one object at a time.  Each example draws a repository through
 publishes (arrival order, so fat and lean bases replace each other),
 deletes (dirty bases, zero-reference garbage), incremental and full GC
-passes and a re-base, snapshots it, optionally rewrites the state as
-format v1 (no mutation counter, no master revisions) or drops a stored
+passes and a re-base, snapshots it (format v3 with its content, or,
+through the legacy loader, format v1: every object by value, no
+mutation counter, no master revisions), optionally drops a stored
 package that records still name, and restores the same bytes both
 ways.  Everything observable must agree: refcounts and zero sets,
 dirty bases and the mutation counter, every metadata query and its
@@ -23,11 +24,15 @@ import pickle
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from restore_oracle import restore_by_primitives
+from restore_oracle import legacy_state, restore_by_primitives
 
 from repro.core.system import Expelliarmus
 from repro.repository.master_graphs import master_content
-from repro.repository.persistence import repository_state, restore_into
+from repro.repository.persistence import (
+    repository_content,
+    repository_state,
+    restore_into,
+)
 from repro.repository.repo import Repository
 from repro.workloads.scale import scale_corpus
 
@@ -83,8 +88,9 @@ def _as_v1(state: dict) -> dict:
 def _drop_named_package(state: dict) -> bool:
     """Drop one stored package that a record's join rows name."""
     named = {key for _, keys in state["records"] for key in keys}
-    for index, pkg in enumerate(state["packages"]):
-        if pkg.blob_key() in named:
+    for index, entry in enumerate(state["packages"]):
+        key = entry[0] if isinstance(entry, tuple) else entry.blob_key()
+        if key in named:
             del state["packages"][index]
             return True
     return False
@@ -145,10 +151,10 @@ def _observe(repo: Repository) -> dict:
 
 
 def _restored(restore, blob: bytes):
-    """``restore`` applied to a fresh copy of the pickled state: the
-    repository, or the error it raised."""
+    """``restore`` applied to a fresh copy of the pickled state and
+    content: the repository, or the error it raised."""
     try:
-        return restore(Repository(), pickle.loads(blob))
+        return restore(Repository(), *pickle.loads(blob))
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
 
@@ -178,16 +184,17 @@ def test_one_pass_restore_equals_the_primitive_loop(
         fat_base_pct=fat_pct,
     )
     system = _drive(corpus, [("publish", n_vmis // 2), *steps])
-    state = pickle.loads(
-        pickle.dumps(
-            repository_state(system.repo), protocol=pickle.HIGHEST_PROTOCOL
-        )
-    )
     if v1:
-        state = _as_v1(state)
+        state, content = _as_v1(legacy_state(system.repo)), None
+    else:
+        state = repository_state(system.repo)
+        content = repository_content(system.repo)
+    state, content = pickle.loads(
+        pickle.dumps((state, content), protocol=pickle.HIGHEST_PROTOCOL)
+    )
     if orphan:
         _drop_named_package(state)
-    blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = pickle.dumps((state, content), protocol=pickle.HIGHEST_PROTOCOL)
 
     expected = _restored(restore_by_primitives, blob)
     got = _restored(restore_into, blob)

@@ -8,43 +8,82 @@ and then restoring the saved mutation counter.  The differential
 property suite restores the same state both ways and compares
 everything observable.  The loop body is kept as it was when it
 served :func:`repro.repository.persistence.restore_into`; the counter
-restore, a ``Repository`` method then, is inlined.
+restore, a ``Repository`` method then, is inlined.  A format v3 state
+names its objects by blob key, read back through ``content``; the
+older formats hold them by value, as :func:`legacy_state` writes them.
 """
 
 from __future__ import annotations
 
-from repro.repository.master_graphs import master_from_state
+from repro.repository.master_graphs import (
+    master_from_refs,
+    master_from_state,
+    master_state,
+)
 from repro.repository.repo import Repository
 
-__all__ = ["restore_by_primitives"]
+__all__ = ["legacy_state", "restore_by_primitives"]
 
-_READABLE_VERSIONS = (1, 2)
+_LEGACY_VERSIONS = (1, 2)
 
 
-def restore_by_primitives(repo: Repository, state: dict) -> Repository:
+def legacy_state(repo: Repository) -> dict:
+    """``repo`` as snapshot format v2 wrote it: every stored object and
+    each master's package graph by value."""
+    return {
+        "version": 2,
+        "packages": repo.packages(),
+        "bases": repo.base_images(),
+        "data": repo.stored_user_data(),
+        "masters": [master_state(m) for m in repo.master_graphs()],
+        "records": [
+            (rec, repo.vmi_contribution(rec.name))
+            for rec in repo.vmi_records()
+        ],
+        "dirty_bases": sorted(repo.dirty_bases()),
+        "mutations": repo.mutations,
+    }
+
+
+def restore_by_primitives(
+    repo: Repository, state: dict, content: dict | None = None
+) -> Repository:
     """Apply a snapshot state dict to an (empty) repository.
 
     Raises:
         ValueError: unknown snapshot format version, or a saved
             mutation counter behind the primitives' count.
     """
-    if state.get("version") not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported snapshot version {state.get('version')!r}"
-        )
-    for base in state["bases"]:
+    version = state.get("version")
+    if version == 3:
+        def objects(section):
+            return [content[key] for key, _ in state[section]]
+
+        def master(m):
+            base = repo.get_base_image(m.base_key)
+            return master_from_refs(base, m, content.__getitem__)
+
+    elif version in _LEGACY_VERSIONS:
+        def objects(section):
+            return state[section]
+
+        def master(m):
+            return master_from_state(repo.get_base_image(m["base_key"]), m)
+
+    else:
+        raise ValueError(f"unsupported snapshot version {version!r}")
+    for base in objects("bases"):
         repo.store_base_image(base)
-    for pkg in state["packages"]:
+    for pkg in objects("packages"):
         repo.store_package(pkg)
-    for data in state["data"]:
+    for data in objects("data"):
         repo.store_user_data(data)
     for m in state["masters"]:
-        base = repo.get_base_image(m["base_key"])
-        repo.put_master_graph(master_from_state(base, m, repo.find_package))
+        repo.put_master_graph(master(m))
     for record, package_keys in state["records"]:
         repo.record_vmi(record, package_keys=package_keys)
-    for base_key in state.get("dirty_bases", ()):
-        repo.mark_base_dirty(base_key)
+    for key in state.get("dirty_bases", ()):
+        repo.mark_base_dirty(key)
     if "mutations" in state:
         count = state["mutations"]
         if count < repo.mutations:

@@ -211,3 +211,42 @@ class TestPickle:
         assert converted.n_edges() == 2
         assert list(converted.dependency_closure([app])) == [app, lib, libc]
 
+
+
+class TestRefs:
+    def _round_trip(self, g, held):
+        """``g`` through ``to_refs`` (keys for the ``held`` payloads),
+        a pickle, and ``from_refs``."""
+        by_key = {p.blob_key(): p for p in g.packages()}
+        refs = g.to_refs(
+            lambda p: p.blob_key() if p.name in held else p
+        )
+        refs = pickle.loads(pickle.dumps(refs))
+        return refs, SemanticGraph.from_refs(refs, by_key.__getitem__)
+
+    def test_round_trip_keeps_vertices_edges_and_order(self):
+        g = build_sample()
+        libc, lib, app = g.node_keys()[1:]
+        # a cycle and an edge into the base vertex survive too
+        g.add_dependency_edge(libc, app)
+        g.add_dependency_edge(app, g.node_keys()[0])
+        refs, back = self._round_trip(g, held={"libc", "app"})
+        assert [type(ref).__name__ for ref in refs.refs] == [
+            "BaseImageAttrs", "int", "Package", "int",
+        ]
+        assert back.node_keys() == g.node_keys()
+        assert list(back.package_nodes()) == list(g.package_nodes())
+        assert list(back.edges()) == list(g.edges())
+        assert back.base_attrs == ATTRS
+        assert list(back.dependency_closure([app])) == list(
+            g.dependency_closure([app])
+        )
+
+    def test_resolved_payloads_are_the_resolvers_objects(self):
+        g = build_sample()
+        held = {p.blob_key(): p for p in g.packages()}
+        refs = pickle.loads(pickle.dumps(g.to_refs(lambda p: p.blob_key())))
+        back = SemanticGraph.from_refs(refs, held.__getitem__)
+        assert all(held[p.blob_key()] is p for p in back.packages())
+        # a payload's cached vertex key is the key object used
+        assert all(key is pkg._node_key for key, pkg, _ in back.package_nodes())

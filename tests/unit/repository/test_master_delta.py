@@ -81,6 +81,24 @@ class TestJournalSize:
         assert masked(small) == masked(large)
         assert abs(len(small[2]) - len(large[2])) <= 8
 
+    def test_records_name_stored_vertices_by_key(self):
+        _, args, _ = self._probe_record(5)
+        refs = args[1].refs
+        assert refs and all(isinstance(ref, int) for ref in refs)
+
+    def test_unjournaled_publishes_build_no_records(self, monkeypatch):
+        """Without a journal nothing is encoded by reference: the
+        in-memory path does no work for durability."""
+
+        def unexpected(*args):
+            raise AssertionError("encoded a record with no journal")
+
+        monkeypatch.setattr(SemanticGraph, "to_refs", unexpected)
+        corpus = scale_corpus(8, n_families=1, seed="delta-size")
+        system = Expelliarmus()
+        report = system.publish_many([corpus.build(i) for i in range(8)])
+        assert report.n_failed == 0
+
     def test_new_base_still_journals_the_full_master(self):
         corpus = scale_corpus(4, n_families=1, seed="delta-size")
         system = Expelliarmus()

@@ -49,20 +49,24 @@ class TestRoundTrip:
         self, populated, tmp_path
     ):
         """Pickling straight into the file writes exactly the bytes
-        ``pickle.dumps`` would have built in memory, for both the plain
-        snapshot and a workspace checkpoint."""
-        expected = pickle.dumps(
-            repository_state(populated.repo),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        ``pickle.dumps`` would have built in memory: the self-contained
+        snapshot, and a workspace checkpoint's metadata naming its
+        content file."""
         path = tmp_path / "repo.snapshot"
-        assert save_repository(populated.repo, path) == len(expected)
-        assert path.read_bytes() == expected
+        written = save_repository(populated.repo, path)
+        state = pickle.loads(path.read_bytes())
+        assert written == len(
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        )
         assert not list(tmp_path.glob("*.tmp"))
 
-        assert populated.save(tmp_path / "ws") == len(expected)
-        snapshot = populated.workspace.snapshot_path
-        assert snapshot.read_bytes() == expected
+        written = populated.save(tmp_path / "ws")
+        content = tmp_path / "ws" / "content-1.bin"
+        expected = repository_state(populated.repo)
+        expected["content"] = (1, content.stat().st_size)
+        expected = pickle.dumps(expected, protocol=pickle.HIGHEST_PROTOCOL)
+        assert written == len(expected)
+        assert populated.workspace.snapshot_path.read_bytes() == expected
         populated.close()
 
     def test_restored_repo_retrieves(self, populated, tmp_path):

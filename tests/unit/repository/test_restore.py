@@ -3,10 +3,15 @@
 import pickle
 
 import pytest
+from restore_oracle import legacy_state
 
 from repro.image.builder import BuildRecipe
 from repro.repository.locking import RepositoryLock
-from repro.repository.persistence import repository_state, restore_into
+from repro.repository.persistence import (
+    repository_content,
+    repository_state,
+    restore_into,
+)
 from repro.repository.repo import Repository
 
 
@@ -32,10 +37,12 @@ def populated(mini_system, mini_builder):
 class TestOnePassRestore:
     """``Repository.restore``: the snapshot's one write-lock hold."""
 
-    def _state(self, populated) -> dict:
+    def _state(self, populated) -> tuple[dict, dict]:
+        """A pickled round trip of the v3 state and its content."""
+        repo = populated.repo
         return pickle.loads(
             pickle.dumps(
-                repository_state(populated.repo),
+                (repository_state(repo), repository_content(repo)),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         )
@@ -49,7 +56,7 @@ class TestOnePassRestore:
 
         repo = Repository()
         repo.attach_journal(_Journal())
-        restore_into(repo, self._state(populated))
+        restore_into(repo, *self._state(populated))
         assert journal == []
         assert repo.vmi_count() == 2
 
@@ -64,19 +71,18 @@ class TestOnePassRestore:
 
         monkeypatch.setattr(RepositoryLock, "acquire_write", counting)
         repo = Repository()
-        restore_into(repo, self._state(populated))
+        restore_into(repo, *self._state(populated))
         assert top_level == [repo.lock]
 
     def test_restore_refuses_a_repository_that_is_not_empty(self, populated):
-        state = self._state(populated)
-        repo = restore_into(Repository(), state)
+        repo = restore_into(Repository(), *self._state(populated))
         with pytest.raises(ValueError, match="empty repository"):
-            restore_into(repo, self._state(populated))
+            restore_into(repo, *self._state(populated))
 
     def test_v1_state_counts_one_mutation_per_restored_object(
         self, populated
     ):
-        state = self._state(populated)
+        state = legacy_state(populated.repo)
         state["version"] = 1
         del state["mutations"]
         repo = restore_into(Repository(), state)
@@ -86,7 +92,32 @@ class TestOnePassRestore:
         )
 
     def test_counter_behind_the_content_is_refused(self, populated):
-        state = self._state(populated)
+        state, content = self._state(populated)
         state["mutations"] = 1
         with pytest.raises(ValueError, match="may not move backwards"):
-            restore_into(Repository(), state)
+            restore_into(Repository(), state, content)
+
+    def test_keys_and_sizes_are_taken_as_given(self, populated, monkeypatch):
+        """A v3 restore re-derives no blob key and no base image size:
+        the snapshot names both."""
+        from repro.repository import repo as repo_module
+
+        state, content = self._state(populated)
+        for obj in content.values():
+            obj.__dict__.pop("_blob_key", None)
+        derived = []
+        monkeypatch.setattr(
+            repo_module, "base_image_qcow2", lambda base: derived.append(base)
+        )
+        monkeypatch.setattr(
+            repo_module.Package, "blob_key", lambda pkg: derived.append(pkg)
+        )
+        repo = restore_into(Repository(), state, content)
+        assert derived == []
+        assert repo.total_bytes() == populated.repo.total_bytes()
+
+    def test_a_key_the_content_lacks_is_refused(self, populated):
+        state, content = self._state(populated)
+        del content[state["packages"][0][0]]
+        with pytest.raises(ValueError, match="no content holds"):
+            restore_into(Repository(), state, content)

@@ -94,6 +94,7 @@ class TestLifecycle:
         _publish(system, mini_builder, "nginx-vm", ("nginx",))
         published = system.save()
         assert b"_total" not in system.workspace.snapshot_path.read_bytes()
+        assert b"_total" not in (tmp_path / "store/content-1.bin").read_bytes()
         system.close()
 
         reopened = Expelliarmus.open(tmp_path / "store")
@@ -253,8 +254,7 @@ def _six_vmi_workspace(path) -> dict[str, bytes]:
 
 def _files(path) -> dict[str, bytes]:
     return {
-        name: (path / name).read_bytes()
-        for name in ("snapshot.bin", "oplog.bin")
+        p.name: p.read_bytes() for p in path.iterdir() if p.name != "lock"
     }
 
 
@@ -291,14 +291,33 @@ class TestUnreadableSnapshot:
         path = tmp_path / "store"
         files = _six_vmi_workspace(path)
         state = pickle.loads(files["snapshot.bin"])
-        named = state["masters"][0]["base_key"]
-        state["bases"] = [
-            b for b in state["bases"] if b.blob_key() != named
-        ]
+        named = state["masters"][0].base_key
+        state["bases"] = [b for b in state["bases"] if b[0] != named]
         (path / "snapshot.bin").write_bytes(
             pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         )
         self._refused(path, r"snapshot .*snapshot\.bin does not restore")
+
+    def test_missing_content_file(self, tmp_path):
+        path = tmp_path / "store"
+        _six_vmi_workspace(path)
+        (path / "content-1.bin").rename(path / "content-9.bin")
+        self._refused(path, r"content file .*content-1\.bin is unreadable")
+
+    def test_short_content_file(self, tmp_path):
+        path = tmp_path / "store"
+        files = _six_vmi_workspace(path)
+        content = files["content-1.bin"]
+        (path / "content-1.bin").write_bytes(content[:-1])
+        self._refused(path, r"content file .* holds \d+ bytes")
+
+    def test_damaged_content_frame(self, tmp_path):
+        path = tmp_path / "store"
+        files = _six_vmi_workspace(path)
+        content = bytearray(files["content-1.bin"])
+        content[len(content) // 2] ^= 0xFF
+        (path / "content-1.bin").write_bytes(bytes(content))
+        self._refused(path, r"content file .*: damaged frame at byte 0")
 
     def test_cli_reports_the_typed_error(self, tmp_path, capsys):
         from repro.cli import main

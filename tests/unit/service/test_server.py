@@ -516,6 +516,29 @@ class TestOwnershipPersistence:
         finally:
             reborn.stop()
 
+    def test_invalid_tenant_in_owners_journal_is_skipped(self, tmp_path):
+        """An entry naming a tenant no request could carry is skipped
+        like an unknown tenant's, not fatal to the daemon's start."""
+        server = ImageServer.for_workspace(
+            tmp_path / "ws", ServerConfig(checkpoint_idle_s=None)
+        )
+        _result(_call(server, "publish", source=SOURCE, item=0))
+        _result(_call(server, "publish", source=SOURCE, item=1))
+        server.stop()
+        owners = tmp_path / "ws" / "owners.json"
+        entries = json.loads(owners.read_text())
+        entries["acme/vmi-00001"] = "bad tenant"
+        owners.write_text(json.dumps(entries))
+        reborn = ImageServer.for_workspace(
+            tmp_path / "ws", ServerConfig(checkpoint_idle_s=None)
+        )
+        try:
+            result = _result(_call(reborn, "retrieve", name="vmi-00000"))
+            assert result["stored_name"] == "acme/vmi-00000"
+            assert not reborn.tenants.owns("acme", "acme/vmi-00001")
+        finally:
+            reborn.stop()
+
 
 def _open_root(kind, root, **config):
     """A server over the durable root at ``root``: a workspace, or a

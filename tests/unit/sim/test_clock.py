@@ -62,7 +62,12 @@ class TestAdvanceAll:
                 clock.advance(seconds, label)
 
         assert _windowed(start, before, one_by_one) == _windowed(
-            start, before, lambda clock: clock.advance_all(charges)
+            start,
+            before,
+            lambda clock: clock.advance_all(
+                [seconds for seconds, _ in charges],
+                [label for _, label in charges],
+            ),
         )
 
     def test_negative_duration_rejected_before_any_charge(self):
@@ -72,7 +77,7 @@ class TestAdvanceAll:
             clock.advance(0.5, "reset")
             with pytest.raises(ValueError):
                 clock.advance_all(
-                    [(2.0, "import"), (-1.0, "import"), (3.0, "handle")]
+                    [2.0, -1.0, 3.0], ["import", "import", "handle"]
                 )
         assert clock.now == 1.75
         assert window.totals == {"reset": 0.5}
