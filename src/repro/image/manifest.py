@@ -64,16 +64,19 @@ class FileManifest:
         for a in (self._ids, self._sizes, self._ratios):
             a.setflags(write=False)
 
-    # A manifest pickles as a call of _unpickle_manifest with its record
-    # count and one buffer: ids, then sizes, then ratios, little-endian.
-    # The total_size memo stays out of snapshots and op-log records.
+    # A manifest pickles as a call of _unpickle_sized_manifest with its
+    # record count, one buffer (ids, then sizes, then ratios,
+    # little-endian) and its total size, so a loaded manifest never sums
+    # its sizes again.
     def __reduce__(self) -> tuple:
         buffer = b"".join((
             self._ids.astype(_ID_DTYPE, copy=False).tobytes(),
             self._sizes.astype(_SIZE_DTYPE, copy=False).tobytes(),
             self._ratios.astype(_RATIO_DTYPE, copy=False).tobytes(),
         ))
-        return (_unpickle_manifest, (self.n_files, buffer))
+        return (
+            _unpickle_sized_manifest, (self.n_files, buffer, self.total_size)
+        )
 
     def __setstate__(self, state: tuple[None, dict[str, np.ndarray]]) -> None:
         # snapshots and op-logs written before __reduce__ pickle the
@@ -266,8 +269,28 @@ class FileManifest:
         )
 
 
+def _unpickle_sized_manifest(
+    n: int, buffer: bytes, total: int
+) -> FileManifest:
+    """Rebuild a pickled :class:`FileManifest` from its record buffer
+    (as :func:`_unpickle_manifest` reads it) and its total size.
+
+    Its name is part of the content-file and op-log format.  A build
+    that predates it fails to look it up (``AttributeError``, which
+    loaders treat as an unloadable record) and refuses the workspace,
+    changing no file; a new signature under the old name would instead
+    fail as a ``TypeError``, which an older op-log scan takes for a torn
+    tail and truncates.
+    """
+    manifest = _unpickle_manifest(n, buffer)
+    manifest._total = total
+    return manifest
+
+
 def _unpickle_manifest(n: int, buffer: bytes) -> FileManifest:
-    """Rebuild a pickled :class:`FileManifest` from its record buffer.
+    """Rebuild a pickled :class:`FileManifest` from its record buffer;
+    records written before the total was pickled call it directly, and
+    their manifest sums its total on first use.
 
     The arrays are read-only views of ``buffer``: ``n`` content ids,
     then ``n`` sizes, then ``n`` gzip ratios.  Its name is part of the

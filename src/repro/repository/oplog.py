@@ -33,9 +33,11 @@ forms apart by type.  A build that predates version 2 refuses a version
 2 header, and a record naming ``GraphRefs`` or ``MasterRefs`` as an
 unloadable record, with ``WorkspaceError`` before changing any file.
 Packages pickle as calls of ``repro.model.package._unpickle_package``
-and file manifests as calls of ``repro.image.manifest._unpickle_manifest``
-(see DESIGN.md §11); older records holding packages as dicts and
-manifests as three numpy arrays replay unchanged.
+and file manifests as calls of
+``repro.image.manifest._unpickle_sized_manifest`` (see DESIGN.md §11);
+older records holding packages as dicts, manifests as three numpy
+arrays, or manifests as calls of ``_unpickle_manifest`` (no total)
+replay unchanged.
 
 A replayed record unpickles its payload on its own, so a replayed VMI
 record is pointed at the strings the repository already holds

@@ -8,12 +8,14 @@ module provides the equivalent durability in two parts:
   objects — packages, base images, user data — each written once, when
   a checkpoint first finds it stored, and named by its blob key;
 * the **snapshot** (format v3) holds only metadata: the VMI records and
-  their package keys, each stored object's blob key and size, the
-  master graphs by reference (:class:`~repro.repository.master_graphs.MasterRefs`:
-  each vertex as its blob key when the package store or the master's
-  base holds it, both of which the content file holds, else by value),
-  the dirty bases, the ``mutations`` counter and the content file's
-  generation and committed length.
+  their package keys, each stored package's blob key (its size is its
+  ``deb_size``), each stored base image's and user-data payload's blob
+  key and size, the master graphs by reference
+  (:class:`~repro.repository.master_graphs.MasterRefs`: each vertex as
+  its blob key when the package store or the master's base holds it,
+  both of which the content file holds, else by value), the dirty
+  bases, the ``mutations`` counter and the content file's generation
+  and committed length.
 
 Content file layout: ``content-<generation>.bin`` is a sequence of
 frames, each an 8-byte header (payload length and CRC32, little-endian
@@ -87,12 +89,11 @@ from repro.repository.repo import Repository
 
 __all__ = [
     "ContentFile",
-    "load_repository",
     "replace_atomically",
     "repository_content",
     "repository_state",
     "restore_into",
-    "save_repository",
+    "write_state",
 ]
 
 T = TypeVar("T")
@@ -114,7 +115,7 @@ def repository_content(repo: Repository) -> dict[int, object]:
     for key, _, base in bases:
         content.update(repo.own_packages(base))
         content[key] = base
-    for key, _, pkg in packages:
+    for key, pkg in packages:
         content.setdefault(key, pkg)
     for key, _, payload in data:
         content[key] = payload
@@ -126,12 +127,12 @@ def repository_state(repo: Repository) -> dict:
 
     Its blob keys name objects :func:`repository_content` holds.  The
     records reference live objects — serialise eagerly, as
-    :func:`save_repository` does.
+    :func:`write_state` does.
     """
     packages, bases, data = repo.stored_objects()
     return {
         "version": _FORMAT_VERSION,
-        "packages": [(key, size) for key, size, _ in packages],
+        "packages": [key for key, _ in packages],
         "bases": [(key, size) for key, size, _ in bases],
         "data": [(key, size) for key, size, _ in data],
         "masters": [repo.master_refs(m) for m in repo.master_graphs()],
@@ -174,24 +175,14 @@ def write_state(path: str | Path, state: dict) -> int:
     return replace_atomically(path, write)
 
 
-def save_repository(repo: Repository, path: str | Path) -> int:
-    """Write a self-contained snapshot: the v3 metadata with every
-    content object inline (``"objects"``); returns its size in bytes."""
-    state = repository_state(repo)
-    state["objects"] = list(_entries(repository_content(repo).items(), ()))
-    return write_state(path, state)
-
-
 def restore_into(
     repo: Repository, state: dict, content: dict | None = None
 ) -> Repository:
     """Apply a snapshot state dict to an empty repository.
 
     A v3 state's blob keys read back through ``content`` (blob key →
-    object, as :meth:`ContentFile.load` returns it), or through the
-    state's own ``"objects"`` when ``content`` is None.  A v1 or v2
-    state holds every object by value; this is the one legacy loader.
-    One
+    object, as :meth:`ContentFile.load` returns it).  A v1 or v2 state
+    holds every object by value; this is the one legacy loader.  One
     :meth:`~repro.repository.repo.Repository.restore` call: one
     write-lock hold, nothing journaled.
 
@@ -206,10 +197,11 @@ def restore_into(
     if version in _LEGACY_VERSIONS:
         # the legacy loader: keys and sizes derived from the objects,
         # each master's package graph adopted as it unpickled
-        bases, packages, user_data = (
+        bases, user_data = (
             [(obj.blob_key(), None, obj) for obj in state[section]]
-            for section in ("bases", "packages", "data")
+            for section in ("bases", "data")
         )
+        packages = [(pkg.blob_key(), pkg) for pkg in state["packages"]]
         stored = {key: base for key, _, base in bases}
         masters = []
         for m in state["masters"]:
@@ -218,12 +210,13 @@ def restore_into(
             masters.append(master_from_state(stored[m["base_key"]], m))
     elif version == _FORMAT_VERSION:
         if content is None:
-            content = _decode(state.get("objects", ()), {})
+            raise ValueError("a v3 snapshot restores through its content")
         try:
-            bases, packages, user_data = (
+            bases, user_data = (
                 [(key, size, content[key]) for key, size in state[section]]
-                for section in ("bases", "packages", "data")
+                for section in ("bases", "data")
             )
+            packages = [(key, content[key]) for key in state["packages"]]
             masters = [
                 master_from_refs(content[m.base_key], m, content.__getitem__)
                 for m in state["masters"]
@@ -246,18 +239,6 @@ def restore_into(
 
 def _missing(key) -> ValueError:
     return ValueError(f"snapshot names blob {key!r}, which no content holds")
-
-
-def load_repository(path: str | Path) -> Repository:
-    """Rebuild a repository from a snapshot written by
-    :func:`save_repository` (or an older by-value one).
-
-    Raises:
-        ValueError: unknown snapshot format version.
-        FileNotFoundError: missing snapshot file.
-    """
-    state = pickle.loads(Path(path).read_bytes())
-    return restore_into(Repository(), state)
 
 
 # ----------------------------------------------------------------------

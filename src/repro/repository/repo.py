@@ -210,16 +210,17 @@ class Repository:
         """Fill this empty repository with snapshot content in one pass.
 
         Lands exactly the state the primitives would reach applying the
-        same content one object at a time (``bases``, ``packages`` and
-        ``user_data`` as ``(blob key, size, object)`` triples, then
-        ``masters``, master graphs over the restored bases, then
-        ``records``, a list of ``(record, package keys)`` pairs): the
-        same insertion orders in every map,
-        the blob store and the metadata index, and the refcounts
-        :meth:`record_vmi` would have counted, including the entries of
-        keys a record names but nothing stores.  The keys and sizes are
-        taken as given, not re-derived (a base or user-data size of
-        None is derived; a package's is its ``deb_size``).
+        same content one object at a time (``bases`` and ``user_data``
+        as ``(blob key, size, object)`` triples, ``packages`` as
+        ``(blob key, object)`` pairs, then ``masters``, master graphs
+        over the restored bases, then ``records``, a list of
+        ``(record, package keys)`` pairs): the same insertion orders in
+        every map, the blob store and the metadata index, and the
+        refcounts :meth:`record_vmi` would have counted, including the
+        entries of keys a record names but nothing stores.  The keys
+        and sizes are taken as given, not re-derived (a base or
+        user-data size of None is derived; a package's size is its
+        ``deb_size``).
         Nothing is journaled.  ``mutations`` restores the saved counter
         exactly; without it (snapshot format v1) the counter ends at
         the number of primitives the content stands for.
@@ -236,7 +237,7 @@ class Repository:
         for key, size, base in bases:
             self._add_base_image(key, base, size)
             applied += 1
-        for key, _, pkg in packages:
+        for key, pkg in packages:
             self._add_package(key, pkg)
             applied += 1
         for key, size, data in user_data:
@@ -536,14 +537,15 @@ class Repository:
         return [self._data[label] for label in self.user_data_labels()]
 
     def stored_objects(self) -> tuple[list, list, list]:
-        """Every stored package, base image and user-data payload as a
-        ``(blob key, size, object)`` triple: packages in
-        :meth:`packages` order, bases in :meth:`base_images` order and
-        user data in label order (snapshot bytes depend on them)."""
+        """Every stored package as a ``(blob key, object)`` pair, and
+        every base image and user-data payload as a ``(blob key, size,
+        object)`` triple: packages in :meth:`packages` order, bases in
+        :meth:`base_images` order and user data in label order
+        (snapshot bytes depend on them).  A package's size is its
+        ``deb_size``."""
         blobs = self.blobs
         packages = [
-            (row.blob_key, blobs.get(row.blob_key).size,
-             self._packages[row.blob_key])
+            (row.blob_key, self._packages[row.blob_key])
             for row in self.db.all_packages()
         ]
         bases = [

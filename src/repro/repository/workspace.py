@@ -55,6 +55,7 @@ closed — releasing its lock — when the process reopens the path.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 from pathlib import Path
@@ -246,13 +247,17 @@ class Workspace:
         """The snapshot-restore + replay body; lock already held.
 
         Restore and replay run under one hold of the repository write
-        lock, so each replayed primitive only re-enters it.
+        lock, so each replayed primitive only re-enters it.  The loaded
+        objects live as long as the repository, so one young-generation
+        collection promotes them at once; left young, they would be
+        traversed again by each of the next requests' collections.
         """
         repo = Repository()
         with repo.lock.write():
             self._restore_snapshot(repo)
             self._replay_oplog(repo)
         repo.attach_journal(self._oplog)
+        gc.collect(1)
         return repo
 
     def _restore_snapshot(self, repo: Repository) -> None:

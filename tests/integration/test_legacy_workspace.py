@@ -41,6 +41,7 @@ import pytest
 
 from repro.core.system import Expelliarmus
 from repro.errors import WorkspaceError
+from repro.image import manifest as manifest_module
 from repro.model import graph as graph_module
 from repro.model import package as package_module
 from repro.model.package import Package
@@ -260,7 +261,7 @@ def test_manifest_arrays_of_the_fixture_load_and_leave_at_checkpoint(
 
 def _older_manifest_reader(context) -> None:
     """This process as a build that predates ``_unpickle_manifest``:
-    no rebuild function, manifests pickled through their slots."""
+    no rebuild functions, manifests pickled through their slots."""
     from repro.image import manifest as manifest_module
     from repro.image.manifest import FileManifest
 
@@ -270,6 +271,7 @@ def _older_manifest_reader(context) -> None:
         }
 
     context.delattr(manifest_module, "_unpickle_manifest")
+    context.delattr(manifest_module, "_unpickle_sized_manifest")
     context.delattr(FileManifest, "__reduce__")
     context.setattr(FileManifest, "__getstate__", slots_state, raising=False)
 
@@ -278,7 +280,7 @@ def _older_manifest_reader(context) -> None:
 def test_older_reader_refuses_new_manifest_records_untouched(
     tmp_path, monkeypatch, checkpointed
 ):
-    """A build without ``_unpickle_manifest`` meets this build's
+    """A build without the manifest rebuild functions meets this build's
     manifest records — in the content file, or (never checkpointed) in
     the op-log's ``store_user_data`` / ``store_base_image`` records: it
     must refuse the workspace, not read them as a torn tail."""
@@ -314,7 +316,9 @@ def test_older_reader_refuses_new_manifest_records_untouched(
 V2_CORPUS = (12, "v2-workspace", 9)
 
 
-def test_v2_workspace_opens_untouched_and_converts_at_checkpoint(tmp_path):
+def test_v2_workspace_opens_untouched_and_converts_at_checkpoint(
+    tmp_path, monkeypatch
+):
     fixture = "v2_workspace"
     ops = [r.op for r in OpLog.read(FIXTURES / fixture / "oplog.bin").ops]
     assert {"add_master_member", "record_vmi"} <= set(ops)
@@ -344,6 +348,16 @@ def test_v2_workspace_opens_untouched_and_converts_at_checkpoint(tmp_path):
     assert grown.keys() == pristine.keys()
     assert grown["snapshot.bin"] == pristine["snapshot.bin"]
     assert grown["oplog.bin"].startswith(pristine["oplog.bin"])
+    # a build that predates the content file reads the old log's header
+    # but lacks names the appended records carry: it must refuse them,
+    # not read them as a torn tail and truncate them
+    with monkeypatch.context() as older:
+        older.delattr(graph_module, "GraphRefs")
+        older.delattr(master_graphs_module, "MasterRefs")
+        older.delattr(manifest_module, "_unpickle_sized_manifest")
+        with pytest.raises(WorkspaceError, match="op-log .* cannot load"):
+            Expelliarmus.open(ws)
+    assert _file_bytes(ws) == grown
 
     reopened = Expelliarmus.open(ws)
     try:
@@ -372,12 +386,14 @@ def test_v2_workspace_opens_untouched_and_converts_at_checkpoint(tmp_path):
 def _content_file_predating_reader(context) -> None:
     """This process as a build that predates the content file: it reads
     snapshot formats v1 and v2 and op-log header version 1 only, and
-    has neither ``GraphRefs`` nor ``MasterRefs``."""
+    has neither ``GraphRefs``, ``MasterRefs`` nor
+    ``_unpickle_sized_manifest``."""
     context.setattr(persistence, "_FORMAT_VERSION", 2)
     context.setattr(persistence, "_LEGACY_VERSIONS", (1,))
     context.setattr(oplog_module, "_READABLE_VERSIONS", (1,))
     context.delattr(graph_module, "GraphRefs")
     context.delattr(master_graphs_module, "MasterRefs")
+    context.delattr(manifest_module, "_unpickle_sized_manifest")
 
 
 @pytest.mark.parametrize("checkpointed", (True, False))

@@ -19,11 +19,11 @@ points, checkpoints):
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from restore_oracle import reload_through_files
 
 from repro.core.system import Expelliarmus
 from repro.image.builder import BuildRecipe, ImageBuilder
 from repro.repository.master_graphs import master_content
-from repro.repository.persistence import load_repository, save_repository
 
 from tests.conftest import make_mini_catalog, make_mini_template
 
@@ -152,9 +152,11 @@ def test_snapshot_reload_is_identity(spec, tmp_path_factory):
     for op in spec:
         driver.step(op)
 
-    path = tmp_path_factory.mktemp("snap") / "repo.snapshot"
-    save_repository(driver.system.repo, path)
-    reloaded_system = Expelliarmus(repository=load_repository(path))
+    reloaded_system = Expelliarmus(
+        repository=reload_through_files(
+            driver.system.repo, tmp_path_factory.mktemp("snap")
+        )
+    )
 
     assert _fingerprint(driver.system.repo) == _fingerprint(
         reloaded_system.repo
@@ -185,11 +187,11 @@ def test_oplog_replay_equals_snapshot(spec, tmp_path_factory):
         driver.step(op)
 
     live_fp = _fingerprint(driver.system.repo)
-    path = tmp / "repo.snapshot"
-    save_repository(driver.system.repo, path)
+    via_snapshot = reload_through_files(
+        driver.system.repo, tmp_path_factory.mktemp("snap")
+    )
     driver.system.close()  # crash-like exit: no final checkpoint
 
-    via_snapshot = load_repository(path)
     via_replay_system = Expelliarmus.open(tmp / "store")
     via_replay = via_replay_system.repo
 

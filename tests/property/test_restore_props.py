@@ -89,7 +89,7 @@ def _drop_named_package(state: dict) -> bool:
     """Drop one stored package that a record's join rows name."""
     named = {key for _, keys in state["records"] for key in keys}
     for index, entry in enumerate(state["packages"]):
-        key = entry[0] if isinstance(entry, tuple) else entry.blob_key()
+        key = entry if isinstance(entry, int) else entry.blob_key()
         if key in named:
             del state["packages"][index]
             return True

@@ -11,18 +11,30 @@ served :func:`repro.repository.persistence.restore_into`; the counter
 restore, a ``Repository`` method then, is inlined.  A format v3 state
 names its objects by blob key, read back through ``content``; the
 older formats hold them by value, as :func:`legacy_state` writes them.
+:func:`reload_through_files` round-trips a repository through the
+files a workspace checkpoint writes, without a workspace.
 """
 
 from __future__ import annotations
+
+import pickle
+from pathlib import Path
 
 from repro.repository.master_graphs import (
     master_from_refs,
     master_from_state,
     master_state,
 )
+from repro.repository.persistence import (
+    ContentFile,
+    repository_content,
+    repository_state,
+    restore_into,
+    write_state,
+)
 from repro.repository.repo import Repository
 
-__all__ = ["legacy_state", "restore_by_primitives"]
+__all__ = ["legacy_state", "reload_through_files", "restore_by_primitives"]
 
 _LEGACY_VERSIONS = (1, 2)
 
@@ -45,6 +57,20 @@ def legacy_state(repo: Repository) -> dict:
     }
 
 
+def reload_through_files(repo: Repository, directory: Path) -> Repository:
+    """Write ``repo``'s content file and v3 snapshot into ``directory``
+    (which must hold neither) and restore a new repository from them."""
+    content = ContentFile(directory)
+    content.append(repository_content(repo).items())
+    state = repository_state(repo)
+    state["content"] = content.position
+    snapshot = directory / "snapshot.bin"
+    write_state(snapshot, state)
+    state = pickle.loads(snapshot.read_bytes())
+    _, objects = ContentFile.load(directory, *state["content"])
+    return restore_into(Repository(), state, objects)
+
+
 def restore_by_primitives(
     repo: Repository, state: dict, content: dict | None = None
 ) -> Repository:
@@ -57,7 +83,11 @@ def restore_by_primitives(
     version = state.get("version")
     if version == 3:
         def objects(section):
-            return [content[key] for key, _ in state[section]]
+            # packages are named by key alone, the others by (key, size)
+            return [
+                content[entry if section == "packages" else entry[0]]
+                for entry in state[section]
+            ]
 
         def master(m):
             base = repo.get_base_image(m.base_key)

@@ -141,16 +141,21 @@ class TestOperations:
 
 class TestMemoizedTotal:
     def test_total_size_memo_never_pickled(self):
+        """The pickled form does not depend on whether the memo was
+        filled: it always carries the total, so a loaded manifest holds
+        its total without summing."""
         m = FileManifest.synthesize("memo", 40, 1_000_000)
         unmemoized = pickle.dumps(m)
         assert m.total_size == 1_000_000
         # the memo leaves the pickled form exactly as it was
         assert pickle.dumps(m) == unmemoized
-        # the record is the count and the three columns, nothing else
-        _, (n, buffer) = m.__reduce__()
+        # the record is the count, the three columns and the total
+        _, (n, buffer, total) = m.__reduce__()
         assert n == 40 and len(buffer) == 3 * 8 * n
+        assert total == 1_000_000
         restored = pickle.loads(unmemoized)
         assert restored == m
+        assert restored._total == 1_000_000
         assert restored.total_size == 1_000_000
 
     def test_state_without_memo_loads(self):

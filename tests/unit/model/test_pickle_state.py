@@ -7,9 +7,10 @@ op-log bytes do not change.  :class:`Package` is not slotted; it
 pickles as a call of ``_unpickle_package`` with its field values, which
 replaced a pickled instance dict keyed by the ten field names that
 older snapshots and op-logs still hold.  :class:`FileManifest` pickles
-as a call of ``_unpickle_manifest`` with its record count and one
-little-endian buffer of its three columns, which replaced three pickled
-numpy arrays: no numpy global is left in the stream.
+as a call of ``_unpickle_sized_manifest`` with its record count, one
+little-endian buffer of its three columns and its total size, which
+replaced ``_unpickle_manifest`` (count and buffer) and, before it,
+three pickled numpy arrays: no numpy global is left in the stream.
 """
 
 import dataclasses
@@ -158,20 +159,32 @@ def _stream_globals(blob: bytes) -> set[str]:
 
 def test_manifest_reduces_to_its_rebuild_function_and_one_buffer():
     m = MANIFESTS[0]
-    rebuild, (n, buffer) = m.__reduce__()
-    assert rebuild is manifest_module._unpickle_manifest
+    rebuild, (n, buffer, total) = m.__reduce__()
+    assert rebuild is manifest_module._unpickle_sized_manifest
     assert n == 40
     assert buffer == (
         m.content_ids.astype("<u8").tobytes()
         + m.sizes.astype("<i8").tobytes()
         + m.gzip_ratios.astype("<f8").tobytes()
     )
+    assert total == int(m.sizes.sum()) == 1_000_000
+
+
+def test_manifest_records_without_a_total_still_load():
+    """Records written before the total was pickled hold the count and
+    the buffer only; the total is summed on first use."""
+    m = MANIFESTS[0]
+    _, (n, buffer, _) = m.__reduce__()
+    again = manifest_module._unpickle_manifest(n, buffer)
+    assert again == m
+    assert again.total_size == m.total_size
 
 
 @pytest.mark.parametrize("m", MANIFESTS, ids=("synth", "edges", "empty"))
 def test_manifest_roundtrip(m):
-    m.total_size  # fill the memo: it must not reach the pickle
     blob = pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL)
+    m.total_size  # filling the memo leaves the pickled form as it was
+    assert pickle.dumps(m, protocol=pickle.HIGHEST_PROTOCOL) == blob
     again = pickle.loads(blob)
     assert type(again) is FileManifest
     assert again == m
@@ -227,6 +240,6 @@ def test_reader_without_the_manifest_rebuild_gets_an_unloadable_record(
     monkeypatch,
 ):
     blob = pickle.dumps(MANIFESTS[0], protocol=pickle.HIGHEST_PROTOCOL)
-    monkeypatch.delattr(manifest_module, "_unpickle_manifest")
+    monkeypatch.delattr(manifest_module, "_unpickle_sized_manifest")
     with pytest.raises(UNLOADABLE):
         pickle.loads(blob)

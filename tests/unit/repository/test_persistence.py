@@ -3,14 +3,17 @@
 import pickle
 
 import pytest
+from restore_oracle import reload_through_files
 
 from repro.core.system import Expelliarmus
 from repro.image.builder import BuildRecipe
 from repro.repository.persistence import (
-    load_repository,
+    ContentFile,
     repository_state,
-    save_repository,
+    restore_into,
+    write_state,
 )
+from repro.repository.repo import Repository
 
 
 @pytest.fixture
@@ -36,10 +39,8 @@ class TestRoundTrip:
     def test_snapshot_restores_byte_accounting(
         self, populated, tmp_path
     ):
-        path = tmp_path / "repo.snapshot"
-        n = save_repository(populated.repo, path)
-        assert n > 0
-        restored = load_repository(path)
+        restored = reload_through_files(populated.repo, tmp_path)
+        assert (tmp_path / "snapshot.bin").stat().st_size > 0
         assert restored.total_bytes() == populated.repository_size
         assert restored.bytes_by_kind() == (
             populated.repo.bytes_by_kind()
@@ -49,15 +50,16 @@ class TestRoundTrip:
         self, populated, tmp_path
     ):
         """Pickling straight into the file writes exactly the bytes
-        ``pickle.dumps`` would have built in memory: the self-contained
-        snapshot, and a workspace checkpoint's metadata naming its
-        content file."""
+        ``pickle.dumps`` would have built in memory: the bare state, and
+        a workspace checkpoint's metadata naming its content file."""
         path = tmp_path / "repo.snapshot"
-        written = save_repository(populated.repo, path)
-        state = pickle.loads(path.read_bytes())
-        assert written == len(
-            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        written = write_state(path, repository_state(populated.repo))
+        expected = pickle.dumps(
+            repository_state(populated.repo),
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
+        assert written == len(expected)
+        assert path.read_bytes() == expected
         assert not list(tmp_path.glob("*.tmp"))
 
         written = populated.save(tmp_path / "ws")
@@ -70,9 +72,7 @@ class TestRoundTrip:
         populated.close()
 
     def test_restored_repo_retrieves(self, populated, tmp_path):
-        path = tmp_path / "repo.snapshot"
-        save_repository(populated.repo, path)
-        restored = load_repository(path)
+        restored = reload_through_files(populated.repo, tmp_path)
         result = Expelliarmus(repository=restored).retrieve("redis-vm")
         assert result.vmi.has_package("redis-server")
         assert result.vmi.user_data is not None
@@ -80,11 +80,11 @@ class TestRoundTrip:
     def test_restored_repo_accepts_new_publishes(
         self, populated, mini_builder, tmp_path
     ):
-        path = tmp_path / "repo.snapshot"
-        save_repository(populated.repo, path)
         # repository injection binds publisher, assembler and planner
         # to the reloaded instance — no manual rebinding
-        restored_system = Expelliarmus(repository=load_repository(path))
+        restored_system = Expelliarmus(
+            repository=reload_through_files(populated.repo, tmp_path)
+        )
         report = restored_system.publish(
             mini_builder.build(
                 BuildRecipe(name="third", primaries=("bigapp",))
@@ -95,9 +95,7 @@ class TestRoundTrip:
         assert not report.stored_new_base
 
     def test_master_graphs_survive(self, populated, tmp_path):
-        path = tmp_path / "repo.snapshot"
-        save_repository(populated.repo, path)
-        restored = load_repository(path)
+        restored = reload_through_files(populated.repo, tmp_path)
         masters = restored.master_graphs()
         assert len(masters) == 1
         primaries = {p.name for p in masters[0].primary_packages()}
@@ -113,9 +111,7 @@ class TestRoundTrip:
         keyed on ``(base_key, revision)`` falsely validate across a
         session boundary.
         """
-        path = tmp_path / "repo.snapshot"
-        save_repository(populated.repo, path)
-        restored = load_repository(path)
+        restored = reload_through_files(populated.repo, tmp_path)
         original = {
             m.base_key: m.revision
             for m in populated.repo.master_graphs()
@@ -128,9 +124,9 @@ class TestRoundTrip:
     def test_new_revisions_never_collide_with_restored(
         self, populated, mini_builder, tmp_path
     ):
-        path = tmp_path / "repo.snapshot"
-        save_repository(populated.repo, path)
-        restored_system = Expelliarmus(repository=load_repository(path))
+        restored_system = Expelliarmus(
+            repository=reload_through_files(populated.repo, tmp_path)
+        )
         before = {
             m.revision for m in restored_system.repo.master_graphs()
         }
@@ -157,9 +153,7 @@ class TestRoundTrip:
         validated against the saved count could falsely revalidate.
         """
         populated.delete("redis-vm")
-        path = tmp_path / "repo.snapshot"
-        save_repository(populated.repo, path)
-        restored = load_repository(path)
+        restored = reload_through_files(populated.repo, tmp_path)
         assert restored.mutations == populated.repo.mutations
 
     def test_dirty_and_zero_ref_state_survive(
@@ -168,9 +162,7 @@ class TestRoundTrip:
         populated.delete("redis-vm")  # pending garbage, dirty base
         repo = populated.repo
         assert repo.dirty_bases()
-        path = tmp_path / "repo.snapshot"
-        save_repository(repo, path)
-        restored = load_repository(path)
+        restored = reload_through_files(repo, tmp_path)
         assert restored.dirty_bases() == repo.dirty_bases()
         assert restored.zero_ref_packages() == repo.zero_ref_packages()
         assert restored.zero_ref_data() == repo.zero_ref_data()
@@ -178,13 +170,9 @@ class TestRoundTrip:
         assert restored.reclaimable_bytes() == repo.reclaimable_bytes()
 
     def test_version_check(self, populated, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.snapshot"
-        path.write_bytes(pickle.dumps({"version": 99}))
-        with pytest.raises(ValueError):
-            load_repository(path)
+        with pytest.raises(ValueError, match="unsupported snapshot version"):
+            restore_into(Repository(), {"version": 99})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_repository(tmp_path / "nope")
+            ContentFile.load(tmp_path, generation=1, length=1)

@@ -118,6 +118,6 @@ class TestOnePassRestore:
 
     def test_a_key_the_content_lacks_is_refused(self, populated):
         state, content = self._state(populated)
-        del content[state["packages"][0][0]]
+        del content[state["packages"][0]]
         with pytest.raises(ValueError, match="no content holds"):
             restore_into(Repository(), state, content)
